@@ -16,6 +16,14 @@
 // *shortening* (post phases moved to the drain points), not parallel
 // speedup across cores; the worker sweep mostly shows that adding workers
 // does not hurt.
+//
+// The gate compares inline with one worker through bench::interleaved_ab:
+// each mode keeps one set of engines for a run of kMsgs sends, and the two
+// runs advance in alternating rounds of kRoundMsgs sends; a run's figure is
+// the median of its per-round inline/concurrent ratios, so one noisy
+// stretch of the host cannot flip it. As in bench_obs, kReps independent
+// runs (fresh engines and executor each) are made and the gate reads the
+// median one, so a run that was unlucky end to end cannot flip it either.
 #include "common.h"
 
 #include <algorithm>
@@ -89,6 +97,9 @@ class BenchEnv final : public Env {
 constexpr int kEngines = 4;
 constexpr int kWarmup = 256;   // skipped: cold caches, first predictions
 constexpr int kMsgs = 4096;    // timed messages per mode
+constexpr int kRoundMsgs = 128;  // inline/w1 gate: sends per mode per round
+constexpr int kRounds = kMsgs / kRoundMsgs;
+constexpr int kReps = 3;       // independent interleaved inline/w1 runs
 constexpr int kBatch = 64;     // concurrent mode: drain every kBatch sends
 constexpr std::size_t kPayloadBytes = 64;
 
@@ -124,60 +135,59 @@ LatSummary summarize(const std::vector<std::uint64_t>& v) {
   return s;
 }
 
-/// Inline baseline: send + post phases on the same thread, per message —
-/// that whole span is the critical path in conventional layering.
-LatSummary run_inline() {
-  BenchEnv env;
-  std::vector<std::unique_ptr<PaEngine>> engines;
-  for (int i = 0; i < kEngines; ++i) {
-    engines.push_back(
-        std::make_unique<PaEngine>(make_cfg(i, nullptr), env));
+/// One mode's engines. `ex == nullptr` is the inline baseline: send + post
+/// phases on the same thread, per message — that whole span is the critical
+/// path in conventional layering. Otherwise only send() is timed: post
+/// phases run on the executor, which is drained (untimed) every kBatch sends
+/// and at the end of each run() — the bench's "idle" periods.
+class Mode {
+ public:
+  explicit Mode(rt::Executor* ex) : ex_(ex) {
+    for (int i = 0; i < kEngines; ++i) {
+      engines_.push_back(std::make_unique<PaEngine>(make_cfg(i, ex), env_));
+    }
+    run(kWarmup);  // cold caches, first predictions
+    samples_.clear();
   }
-  const auto payload = bench::payload_of(kPayloadBytes);
-  std::vector<std::uint64_t> samples;
-  samples.reserve(kMsgs);
-  for (int i = 0; i < kWarmup + kMsgs; ++i) {
-    PaEngine& e = *engines[i % kEngines];
-    const std::uint64_t t0 = now_ns();
-    e.send(payload);
-    env.drain_deferred();
-    const std::uint64_t t1 = now_ns();
-    if (i >= kWarmup) samples.push_back(t1 - t0);
+
+  /// Send `msgs` more messages round-robin; returns their mean ns.
+  double run(int msgs) {
+    std::uint64_t total = 0;
+    for (int i = 0; i < msgs; ++i) {
+      PaEngine& e = *engines_[sent_++ % kEngines];
+      const std::uint64_t t0 = now_ns();
+      e.send(payload_);
+      if (ex_ == nullptr) env_.drain_deferred();
+      const std::uint64_t t1 = now_ns();
+      samples_.push_back(t1 - t0);
+      total += t1 - t0;
+      if (ex_ != nullptr && sent_ % kBatch == 0) ex_->drain();
+    }
+    if (ex_ != nullptr) ex_->drain();
+    return static_cast<double>(total) / msgs;
   }
-  return summarize(samples);
-}
+
+  const std::vector<std::uint64_t>& samples() const { return samples_; }
+
+ private:
+  rt::Executor* ex_;  // outlives the engines (rt/README.md destruction order)
+  BenchEnv env_;
+  std::vector<std::unique_ptr<PaEngine>> engines_;
+  const std::vector<std::uint8_t> payload_ = bench::payload_of(kPayloadBytes);
+  std::vector<std::uint64_t> samples_;
+  int sent_ = 0;
+};
 
 struct ConcurrentResult {
   LatSummary lat;
   rt::ExecutorStats ex;
 };
 
-/// Concurrent mode: only send() is timed — post phases run on the executor,
-/// which is drained (untimed) between batches, the bench's "idle" periods.
 ConcurrentResult run_concurrent(std::size_t workers) {
-  BenchEnv env;
   rt::Executor ex(rt::ExecutorConfig{workers, /*ring_capacity=*/1024});
-  std::vector<std::uint64_t> samples;
-  samples.reserve(kMsgs);
-  {
-    std::vector<std::unique_ptr<PaEngine>> engines;
-    for (int i = 0; i < kEngines; ++i) {
-      engines.push_back(std::make_unique<PaEngine>(make_cfg(i, &ex), env));
-    }
-    const auto payload = bench::payload_of(kPayloadBytes);
-    for (int i = 0; i < kWarmup + kMsgs; ++i) {
-      PaEngine& e = *engines[i % kEngines];
-      const std::uint64_t t0 = now_ns();
-      e.send(payload);
-      const std::uint64_t t1 = now_ns();
-      if (i >= kWarmup) samples.push_back(t1 - t0);
-      if ((i + 1) % kBatch == 0) ex.drain();
-    }
-    ex.drain();
-    // Engines leave scope first: destroy engines before the Executor
-    // (rt/README.md destruction-order contract).
-  }
-  return {summarize(samples), ex.snapshot()};
+  Mode mode(&ex);
+  mode.run(kMsgs);
+  return {summarize(mode.samples()), ex.snapshot()};
 }
 
 std::string ns_fmt(double ns) { return fmt(ns / 1000.0, "us", 2); }
@@ -190,8 +200,32 @@ int main() {
       "post-processing",
       "paper 3.1 (post phases deferred out of the critical path)");
 
-  const LatSummary inl = run_inline();
-  const ConcurrentResult c1 = run_concurrent(1);
+  // The gate: inline vs one worker, interleaved, in kReps independent runs.
+  std::vector<bench::AbRatio> reps;
+  std::vector<std::uint64_t> inl_samples, w1_samples;
+  ConcurrentResult c1;
+  for (int rep = 0; rep < kReps; ++rep) {
+    rt::Executor ex1(rt::ExecutorConfig{1, /*ring_capacity=*/1024});
+    {
+      Mode inline_mode(nullptr);
+      Mode w1_mode(&ex1);
+      reps.push_back(bench::interleaved_ab(
+          kRounds, [&] { return inline_mode.run(kRoundMsgs); },
+          [&] { return w1_mode.run(kRoundMsgs); }));
+      inl_samples.insert(inl_samples.end(), inline_mode.samples().begin(),
+                         inline_mode.samples().end());
+      w1_samples.insert(w1_samples.end(), w1_mode.samples().begin(),
+                        w1_mode.samples().end());
+    }
+    c1.ex = ex1.snapshot();  // telemetry of the last run
+  }
+  c1.lat = summarize(w1_samples);
+  std::sort(reps.begin(), reps.end(),
+            [](const bench::AbRatio& a, const bench::AbRatio& b) {
+              return a.median < b.median;
+            });
+  const bench::AbRatio& shrink = reps[reps.size() / 2];
+  const LatSummary inl = summarize(inl_samples);
   const ConcurrentResult c2 = run_concurrent(2);
   const ConcurrentResult c4 = run_concurrent(4);
 
@@ -208,8 +242,10 @@ int main() {
   row("concurrent w=4 avg / p50 / p99", "< inline",
       ns_fmt(c4.lat.avg_ns) + " " + ns_fmt(c4.lat.p50_ns) + " " +
           ns_fmt(c4.lat.p99_ns));
-  row("critical-path shrink (w=1)", ">1x",
-      fmt(inl.avg_ns / c1.lat.avg_ns, "x", 2));
+  char iqr[64];
+  std::snprintf(iqr, sizeof iqr, "median run of %d: %d rounds, IQR %.2f-%.2f",
+                kReps, kRounds, shrink.q1, shrink.q3);
+  row("critical-path shrink (w=1)", ">1x", fmt(shrink.median, "x", 2), iqr);
 
   std::printf("\nexecutor telemetry (w=1):\n");
   std::printf("  submitted=%llu executed=%llu rejected=%llu wakeups=%llu\n",
@@ -232,10 +268,13 @@ int main() {
                 ns_fmt(static_cast<double>(c1.ex.run_ns_max)).c_str());
   }
 
-  const bool ok = c1.lat.avg_ns < inl.avg_ns;
+  const bool ok = shrink.median > 1.0;
   std::printf(
       "\nShape check: with >=1 worker the critical path (pre phases only)\n"
-      "must be strictly shorter than the inline baseline (pre + post).\n");
+      "must be strictly shorter than the inline baseline (pre + post):\n"
+      "median over %d interleaved rounds of inline/concurrent mean > 1\n"
+      "(median of %d runs).\n",
+      kRounds, kReps);
   std::printf("RESULT: %s\n", ok ? "shape holds" : "SHAPE VIOLATION");
 
   std::vector<std::pair<std::string, double>> metrics = {
@@ -249,7 +288,11 @@ int main() {
       {"concurrent_w1_p999_ns", c1.lat.p999_ns},
       {"concurrent_w2_avg_ns", c2.lat.avg_ns},
       {"concurrent_w4_avg_ns", c4.lat.avg_ns},
-      {"critical_path_shrink_w1", inl.avg_ns / c1.lat.avg_ns},
+      {"critical_path_shrink_w1", shrink.median},
+      {"critical_path_shrink_w1_q1", shrink.q1},
+      {"critical_path_shrink_w1_q3", shrink.q3},
+      {"ab_rounds", static_cast<double>(kRounds)},
+      {"ab_runs", static_cast<double>(kReps)},
       {"w1_submitted", static_cast<double>(c1.ex.submitted)},
       {"w1_rejected", static_cast<double>(c1.ex.rejected)},
       {"shape_ok", ok ? 1.0 : 0.0},

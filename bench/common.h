@@ -6,6 +6,7 @@
 // not the authors' SPARC/ATM testbed (see DESIGN.md §2).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -199,6 +200,42 @@ inline bool zc_sweep(std::vector<std::pair<std::string, double>>& metrics) {
       "predicted path\n",
       pred_copies, pred_bytes);
   return pred_copies == 0.0 && pred_bytes == 0.0;
+}
+
+/// Interleaved A/B comparison for wall-clock gates. One pair of whole runs is
+/// hostage to whatever the host did during either of them, so the two arms
+/// alternate for `rounds` rounds instead (order flipping every round so
+/// linear drift cancels), and a gate reads the median of the per-round
+/// a/b ratios: the few rounds a preemption burst lands in cannot move it.
+/// `run_a`/`run_b` each run one round of their arm and return its figure
+/// (e.g. mean ns per operation).
+struct AbRatio {
+  double median = 0;  // median of the per-round a/b ratios
+  double q1 = 0;      // lower quartile of the same ratios
+  double q3 = 0;      // upper quartile
+};
+
+template <typename RunA, typename RunB>
+AbRatio interleaved_ab(int rounds, RunA&& run_a, RunB&& run_b) {
+  std::vector<double> ratios;
+  ratios.reserve(static_cast<std::size_t>(rounds));
+  for (int r = 0; r < rounds; ++r) {
+    double a = 0, b = 0;
+    if (r % 2 == 0) {
+      a = run_a();
+      b = run_b();
+    } else {
+      b = run_b();
+      a = run_a();
+    }
+    ratios.push_back(a / b);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  auto at = [&](double q) {
+    return ratios[static_cast<std::size_t>(
+        q * static_cast<double>(ratios.size() - 1) + 0.5)];
+  };
+  return {at(0.5), at(0.25), at(0.75)};
 }
 
 /// Measure the latency of a single isolated round trip (8-byte message).

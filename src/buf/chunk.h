@@ -11,9 +11,8 @@
 //   - refcount 1  => the holder may mutate the chunk's bytes in place.
 //   - refcount >1 => the bytes are frozen; a writer must copy first
 //     (copy-on-write) and leave the other holders' view intact.
-//   - MessagePool recycles a chunk only once its refcount has returned to 1;
-//     a chunk still referenced by an in-flight frame or a retransmission
-//     buffer is parked until the last foreign reference drops.
+//   - the last reference to drop frees the chunk; the real loop's receive
+//     recycler reuses its own buffers once it holds the only reference.
 //
 // The refcount is atomic because frames cross threads in the concurrent
 // deferred-work runtime (src/rt/) and under the real UDP loop; all other
@@ -54,7 +53,6 @@ struct BufStats {
   std::atomic<std::uint64_t> chain_clone_bytes_shared{0};
   std::atomic<std::uint64_t> headroom_regrows{0};
   std::atomic<std::uint64_t> chunks_allocated{0};
-  std::atomic<std::uint64_t> chunks_recycled{0};
 };
 
 BufStats& buf_stats();
@@ -77,14 +75,6 @@ class Chunk {
   Chunk& operator=(const Chunk&) = delete;
 
   std::vector<std::uint8_t> data;
-
-  /// Set by the real loop on receive buffers it owns and recycles (see
-  /// docs/INTERNALS.md, "The kernel boundary"). MessagePool::release drops
-  /// references to tagged chunks instead of caching or parking them, so the
-  /// refcount returns to the loop's recycler and the buffer is reused for
-  /// the next recvmmsg batch. Without the tag, both recyclers would hold a
-  /// reference waiting for the other to drop — neither ever sees unique().
-  bool kernel_buf = false;
 
   std::uint32_t refs() const noexcept {
     return refs_.load(std::memory_order_acquire);

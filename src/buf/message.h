@@ -172,7 +172,7 @@ class Message {
   std::size_t capacity() const { return hdr_acct_ + plen_; }
 
   /// Headroom-exhaustion regrowths this message performed (accumulated into
-  /// PoolStats::headroom_regrow when the message is released).
+  /// MessagePool::Stats::headroom_regrow when the message is released).
   std::uint32_t regrows() const { return regrows_; }
 
  private:
@@ -195,9 +195,9 @@ class Message {
   std::size_t plen_ = 0;     // cached sum of chain lengths
   std::uint32_t regrows_ = 0;
   // Virtual size this message was acquired at (headroom + payload capacity).
-  // Payload chunks materialize lazily, so at release time capacity() may be
-  // smaller than what the caller reserved; the pool caches the reserved
-  // size, matching the flat-buffer pool's reuse behaviour.
+  // At release time capacity() may be smaller than what the caller
+  // reserved; the pool accounts the reserved size, matching the flat-buffer
+  // pool's reuse behaviour.
   std::size_t pool_vsize_ = 0;
 };
 

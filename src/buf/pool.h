@@ -1,24 +1,18 @@
-// Explicit message-buffer pooling.
+// Explicit message-buffer pooling, kept as allocation accounting.
 //
 // The paper (§6, "Use of a High-Level Language") reports that explicitly
 // allocating and deallocating high-bandwidth objects — messages — reduces
-// the number of garbage collections dramatically. MessagePool is that
-// mechanism: engines acquire buffers from the pool and release them after
-// post-processing; only pool *misses* count as fresh allocations, which is
-// what the GC model charges for.
+// the number of garbage collections dramatically. MessagePool reproduces
+// that claim as a model: engines acquire messages through the pool and
+// release them after post-processing, and only pool *misses* count as fresh
+// allocations, which is what the GC model charges for.
 //
-// Since the zero-copy refactor a released message decomposes into refcounted
-// chunks (header chunk + payload chain) rather than one flat vector, and a
-// chunk may still be referenced by an in-flight frame or a retransmission
-// clone at release time. The pool therefore keeps two views:
-//   - an *accounting* view (`vsizes_`) that mirrors the flat-buffer pool's
-//     hit/miss behaviour storage-size for storage-size, so fresh_allocations,
-//     bytes_allocated and the GC model's timing are unchanged by the
-//     refactor;
-//   - a *physical* view (`cache_`/`pending_`): chunks whose refcount has
-//     returned to 1 are recycled immediately, chunks still shared are parked
-//     on `pending_` and swept into the cache once the last foreign reference
-//     drops. A chunk is never handed out while anyone else can see it.
+// The pool holds no storage. `vsizes_` mirrors a flat-buffer pool's hit/miss
+// behaviour storage-size for storage-size (first fit, in release order), so
+// fresh_allocations, bytes_allocated and the GC model's timing match the
+// paper's mechanism. Physically every acquire allocates exactly as
+// Message::with_payload does and every release drops the message; chunks
+// are freed by their refcounts like any other.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +20,6 @@
 #include <span>
 #include <vector>
 
-#include "buf/chunk.h"
 #include "buf/message.h"
 
 namespace pa {
@@ -43,41 +36,31 @@ class MessagePool {
 
   explicit MessagePool(std::size_t max_cached = 64) : max_cached_(max_cached) {}
 
-  /// Get a message with the given headroom and at least `payload_capacity`
-  /// bytes of room behind it, reusing cached storage when possible.
+  /// A message with the given headroom, accounted as holding at least
+  /// `payload_capacity` bytes of room behind it.
   Message acquire(std::size_t headroom = Message::kDefaultHeadroom,
                   std::size_t payload_capacity = 0);
 
-  /// Like Message::with_payload but pooled.
+  /// Message::with_payload, accounted through the pool.
   Message acquire_with_payload(std::span<const std::uint8_t> payload,
                                std::size_t headroom = Message::kDefaultHeadroom);
 
-  /// Return a message's storage to the pool for reuse. Chunks still shared
-  /// with in-flight frames or clones are parked until they become unique.
-  void release(Message&& msg);
+  /// Account `m` (freshly built, `payload_capacity` bytes of room reserved
+  /// beyond its capacity()) as acquired. Returns true on a pool miss: a
+  /// fresh allocation the GC model charges for.
+  bool account_acquire(Message& m, std::size_t payload_capacity = 0);
+
+  /// Account a message's storage as released for reuse; the message itself
+  /// is dropped.
+  void release(Message msg);
 
   const Stats& stats() const { return stats_; }
   std::size_t cached() const { return vsizes_.size(); }
-  std::size_t parked() const { return pending_.size(); }
 
  private:
-  // Parked chunks are pinned by their foreign references anyway, so the cap
-  // only bounds the pool's own bookkeeping.
-  static constexpr std::size_t kMaxPending = 256;
-
-  void sweep_pending();
-  void stash(ChunkRef&& c);
-  ChunkRef take_exact(std::size_t size);
-  ChunkRef take_at_least(std::size_t size);
-
-  // Accounting view: sizes of the flat storages the pre-refactor pool would
-  // be caching right now, in release order (its scan order matters for
-  // hit/miss parity).
+  // Sizes of the storages a flat-buffer pool would be caching right now, in
+  // release order (its scan order matters for hit/miss parity).
   std::vector<std::size_t> vsizes_;
-  // Physical view. One cache serves header and payload chunks; messages
-  // split into two chunks each, hence the doubled cap.
-  std::vector<ChunkRef> cache_;
-  std::vector<ChunkRef> pending_;
   std::size_t max_cached_;
   Stats stats_;
 };

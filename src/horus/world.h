@@ -96,7 +96,7 @@ struct ConnOptions {
   bool variable_packing = false;
   std::size_t max_pack_bytes = 8192;
   std::size_t max_pack_batch = 128;
-  bool message_pool = true;
+  bool message_pool = true;  // §6 accounting (PaConfig::use_message_pool)
   bool cookie_preagreed = false;
   bool always_send_conn_ident = false;  // ablation: no cookie compression
   bool disable_prediction = false;      // ablation: no fast paths

@@ -206,7 +206,7 @@ void bind_pool_stats(MetricsRegistry& reg, const MessagePool::Stats& s,
   rd_counter_u64(reg, p + "_fresh_allocations_total",
                  "acquisitions that hit the allocator (pool miss)",
                  &s.fresh_allocations);
-  rd_counter_u64(reg, p + "_releases_total", "buffers returned to the pool",
+  rd_counter_u64(reg, p + "_releases_total", "buffers accounted as released",
                  &s.releases);
   rd_counter_u64(reg, p + "_bytes_allocated_total",
                  "bytes from fresh allocations", &s.bytes_allocated, "bytes");
@@ -256,8 +256,6 @@ void bind_buf_stats(MetricsRegistry& reg, const BufStats& s,
             &s.headroom_regrows);
   rd_atomic(p + "_chunks_allocated_total", "chunks allocated",
             &s.chunks_allocated);
-  rd_atomic(p + "_chunks_recycled_total", "chunks recycled from the pool",
-            &s.chunks_recycled);
 }
 
 void bind_network_stats(MetricsRegistry& reg, const SimNetwork::Stats& s,

@@ -272,24 +272,19 @@ HeaderView PaEngine::bind_prediction(std::uint8_t* proto,
 }
 
 // ---------------------------------------------------------------------------
-// Message allocation through the pool (paper §6: explicit alloc/dealloc of
-// high-bandwidth objects suppresses GC pressure).
+// Message allocation. The pool is the paper's §6 accounting beside it
+// (explicit alloc/dealloc of high-bandwidth objects suppresses GC pressure):
+// with use_message_pool on, only pool misses are charged to the GC model.
 // ---------------------------------------------------------------------------
 Message PaEngine::acquire_message(std::span<const std::uint8_t> payload) {
-  if (!cfg_.use_message_pool) {
-    Message m = Message::with_payload(payload);
-    env_.on_alloc(m.capacity());
-    return m;
-  }
-  const std::uint64_t fresh_before = pool_.stats().fresh_allocations;
-  Message m = pool_.acquire_with_payload(payload);
-  if (pool_.stats().fresh_allocations != fresh_before) {
+  Message m = Message::with_payload(payload);
+  if (!cfg_.use_message_pool || pool_.account_acquire(m)) {
     env_.on_alloc(m.capacity());
   }
   return m;
 }
 
-void PaEngine::retire_message(Message&& m) {
+void PaEngine::retire_message(Message m) {
   if (cfg_.use_message_pool) pool_.release(std::move(m));
 }
 
@@ -593,6 +588,10 @@ void PaEngine::worker_entry(const std::function<void()>& prologue) {
 }
 
 bool PaEngine::drain_parked_locked() {
+  // Nothing parked is the common case, and it runs on every send: skip the
+  // inbox lock and the deques' allocations. An item parked after this load
+  // is caught by unlock_and_handoff's check once mu_ is released.
+  if (inbox_count_.load(std::memory_order_acquire) == 0) return false;
   std::deque<std::vector<std::uint8_t>> sends;
   std::deque<Message> msgs;
   std::deque<WireFrame> frames;

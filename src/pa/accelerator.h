@@ -50,9 +50,13 @@ struct PaConfig {
   std::size_t max_pack_batch = 128;
   std::size_t max_pack_bytes = 8192;
   std::size_t max_recv_queue = 1024;  // frames parked behind post-processing
-  bool use_message_pool = true;    // §6: explicit alloc/dealloc of messages
-  // Pool capacity must cover the deepest backlog (>= max_pack_batch) or the
-  // pool thrashes and allocation pressure returns.
+  // §6 accounting switch: when on, messages are acquired and released
+  // through MessagePool and only its misses reach Env::on_alloc (the GC
+  // model); when off, every message counts as a fresh allocation. Storage
+  // is allocated the same way either way.
+  bool use_message_pool = true;
+  // Releases the accounting view remembers for reuse, and the capacity the
+  // governor's pool-occupancy signal is measured against.
   std::size_t pool_capacity = 256;
   Endian self_endian = host_endian();
   std::uint64_t cookie_seed = 1;   // deterministic cookie source
@@ -212,7 +216,7 @@ class PaEngine final : public Engine {
   void timer_fire(std::size_t layer,
                   const std::function<void(LayerOps&)>& cb);
   Message acquire_message(std::span<const std::uint8_t> payload);
-  void retire_message(Message&& m);
+  void retire_message(Message m);
 
   // --- overload-governor hooks (no-ops when cfg_.governor is null) --------
   /// Keep the lock-free backlog-depth mirror in sync (read by admission

@@ -390,8 +390,8 @@ TEST(RealBatch, RecvBatchStraddlesTimerDeadline) {
 
   // A second burst on the same loop must recycle receive chunks instead of
   // allocating per datagram: the first run's buffers were dispatched and
-  // released (the MessagePool hands kernel_buf chunks straight back), so
-  // this drain's prepare finds them unique. (The first burst alone can
+  // released (nothing else keeps a reference to a receive chunk), so this
+  // drain's prepare finds them unique. (The first burst alone can
   // legally complete inside a single drain round — packing folds 200 tiny
   // messages into a couple of datagrams — so it proves nothing here.)
   for (std::uint32_t i = 200; i < 220; ++i) {

@@ -2,7 +2,12 @@
 // and PA-engine behaviors observable without a full simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+
 #include "horus/world.h"
+#include "obs/bridge.h"
 #include "pa/packing.h"
 #include "pa/preamble.h"
 #include "pa/router.h"
@@ -251,6 +256,115 @@ TEST(PaEngine, PoolSuppressesAllocations) {
   EXPECT_GT(ps.acquires, 45u);
   // After warmup, acquisitions must be served from the pool.
   EXPECT_LT(ps.fresh_allocations, 10u);
+}
+
+// Differential oracle for MessagePool: it is pure §6 accounting, so the same
+// seeded traffic with the pool on and off must deliver the same bytes in the
+// same order at the same virtual times. Only the pool's own counters and the
+// allocations charged to the GC model may differ.
+struct PoolOracleRun {
+  std::vector<std::vector<std::uint8_t>> at_a, at_b;
+  std::map<std::string, double> metrics;
+  Vt end = 0;
+};
+
+PoolOracleRun run_pool_oracle(bool message_pool) {
+  WorldConfig wc;
+  wc.seed = 0x5eed;
+  wc.gc_policy = GcPolicy::kEveryReception;  // pauses independent of allocs
+  World w(wc);
+  auto& a = w.add_node("a");
+  auto& b = w.add_node("b");
+  ConnOptions opt;
+  opt.message_pool = message_pool;
+  auto [ea, eb] = w.connect(a, b, opt);
+  PoolOracleRun r;
+  ea->on_deliver([&](std::span<const std::uint8_t> p) {
+    r.at_a.emplace_back(p.begin(), p.end());
+  });
+  eb->on_deliver([&](std::span<const std::uint8_t> p) {
+    r.at_b.emplace_back(p.begin(), p.end());
+  });
+
+  Rng rng(0x0a11);
+  auto body = [&](std::size_t n) {
+    std::vector<std::uint8_t> v(n);
+    for (auto& x : v) x = static_cast<std::uint8_t>(rng.next());
+    return v;
+  };
+  for (int round = 0; round < 40; ++round) {
+    Endpoint* from = rng.chance(0.5) ? ea : eb;
+    if (rng.chance(0.3)) {
+      from->send(body(9000 + rng.next_below(12000)));  // > frag threshold
+    } else {
+      // A same-size burst sent back to back: the backlog packs it.
+      const std::size_t n = 1 + rng.next_below(64);
+      const int burst = 2 + static_cast<int>(rng.next_below(30));
+      for (int i = 0; i < burst; ++i) from->send(body(n));
+    }
+    if (rng.chance(0.5)) w.run();
+  }
+  w.run();
+  r.end = w.now();
+
+  obs::MetricsRegistry reg;
+  obs::bind_engine_stats(reg, ea->engine().stats(), "a_engine");
+  obs::bind_engine_stats(reg, eb->engine().stats(), "b_engine");
+  obs::bind_pool_stats(reg, ea->pa()->pool().stats(), "a_pa_pool");
+  obs::bind_pool_stats(reg, eb->pa()->pool().stats(), "b_pa_pool");
+  obs::bind_stack_stats(reg, ea->pa()->stack(), "a_stack");
+  obs::bind_stack_stats(reg, eb->pa()->stack(), "b_stack");
+  obs::bind_router_stats(reg, a.router().stats(), "a_router");
+  obs::bind_router_stats(reg, b.router().stats(), "b_router");
+  obs::bind_gc_stats(reg, a.gc().stats(), "a_gc");
+  obs::bind_gc_stats(reg, b.gc().stats(), "b_gc");
+  obs::bind_network_stats(reg, w.network().stats(), "net");
+  for (const obs::MetricSample& m : reg.collect()) {
+    r.metrics[m.name] =
+        m.hist ? static_cast<double>(m.hist->count()) : m.value;
+  }
+  return r;
+}
+
+TEST(PaEngine, PoolIsPureAccountingOracle) {
+  const PoolOracleRun on = run_pool_oracle(true);
+  const PoolOracleRun off = run_pool_oracle(false);
+
+  ASSERT_GT(on.at_a.size() + on.at_b.size(), 200u);
+  EXPECT_EQ(on.at_a, off.at_a);
+  EXPECT_EQ(on.at_b, off.at_b);
+  EXPECT_EQ(on.end, off.end);
+  // The traffic exercised fragmentation and packing on both runs.
+  EXPECT_GT(on.metrics.at("a_engine_packed_batches_total") +
+                on.metrics.at("b_engine_packed_batches_total"),
+            0.0);
+  auto fragmented = [](const std::vector<std::uint8_t>& p) {
+    return p.size() > 8192;  // StackParams::frag threshold
+  };
+  EXPECT_TRUE(std::any_of(on.at_a.begin(), on.at_a.end(), fragmented));
+  EXPECT_TRUE(std::any_of(on.at_b.begin(), on.at_b.end(), fragmented));
+
+  ASSERT_EQ(on.metrics.size(), off.metrics.size());
+  std::size_t compared = 0;
+  for (const auto& [name, v] : on.metrics) {
+    ASSERT_TRUE(off.metrics.count(name)) << name;
+    if (name.find("_pa_pool_") != std::string::npos ||
+        name.find("_gc_allocated_bytes") != std::string::npos) {
+      continue;  // the pool's own accounting and what it feeds the GC model
+    }
+    EXPECT_EQ(v, off.metrics.at(name)) << name;
+    ++compared;
+  }
+  EXPECT_GT(compared, 50u);
+
+  // The accounting itself: the pool runs only with the switch on, and its
+  // hits keep allocations away from the GC model.
+  EXPECT_GT(on.metrics.at("a_pa_pool_acquires_total"), 0.0);
+  EXPECT_EQ(off.metrics.at("a_pa_pool_acquires_total"), 0.0);
+  EXPECT_LT(on.metrics.at("a_gc_allocated_bytes_total"),
+            off.metrics.at("a_gc_allocated_bytes_total"));
+  EXPECT_LT(on.metrics.at("b_gc_allocated_bytes_total"),
+            off.metrics.at("b_gc_allocated_bytes_total"));
 }
 
 TEST(PaEngine, StatsCoherent) {
