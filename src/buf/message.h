@@ -194,6 +194,9 @@ class Message {
   mutable std::vector<Slice> chain_;
   std::size_t plen_ = 0;     // cached sum of chain lengths
   std::uint32_t regrows_ = 0;
+  // Handed out by MessagePool::account_acquire and not yet released or
+  // abandoned: counts toward the pool's outstanding().
+  bool pool_acquired_ = false;
   // Virtual size this message was acquired at (headroom + payload capacity).
   // At release time capacity() may be smaller than what the caller
   // reserved; the pool accounts the reserved size, matching the flat-buffer

@@ -7,11 +7,11 @@
 // release them after post-processing, and only pool *misses* count as fresh
 // allocations, which is what the GC model charges for.
 //
-// The pool holds no storage. `vsizes_` mirrors a flat-buffer pool's hit/miss
-// behaviour storage-size for storage-size (first fit, in release order), so
-// fresh_allocations, bytes_allocated and the GC model's timing match the
-// paper's mechanism. Physically every acquire allocates exactly as
-// Message::with_payload does and every release drops the message; chunks
+// The pool holds no storage. Its index mirrors a flat-buffer pool's
+// hit/miss behaviour storage-size for storage-size (first fit, in release
+// order), so fresh_allocations, bytes_allocated and the GC model's timing
+// match the paper's mechanism. Physically every acquire allocates exactly
+// as Message::with_payload does and every release drops the message; chunks
 // are freed by their refcounts like any other.
 #pragma once
 
@@ -54,13 +54,32 @@ class MessagePool {
   /// is dropped.
   void release(Message msg);
 
+  /// Stop counting an acquired message as outstanding without releasing
+  /// its storage (the engine replaced it by fragments and drops it).
+  void abandon(Message& m);
+
   const Stats& stats() const { return stats_; }
-  std::size_t cached() const { return vsizes_.size(); }
+  std::size_t cached() const { return cached_; }
+  /// Acquired messages not yet released or abandoned: the occupancy the
+  /// overload governor watches. Messages the pool never handed out
+  /// (received frames, packed trains, protocol emits) do not count.
+  std::size_t outstanding() const { return outstanding_; }
 
  private:
-  // Sizes of the storages a flat-buffer pool would be caching right now, in
-  // release order (its scan order matters for hit/miss parity).
-  std::vector<std::size_t> vsizes_;
+  // The storages a flat-buffer pool would be caching right now, one bucket
+  // per distinct size, sorted by size. A bucket's FIFO holds the release
+  // sequence numbers of its storages from `head` on; first fit in release
+  // order is the fitting bucket with the oldest head.
+  struct Bucket {
+    std::size_t size = 0;
+    std::vector<std::uint64_t> seqs;
+    std::size_t head = 0;
+    bool empty() const { return head == seqs.size(); }
+  };
+  std::vector<Bucket> buckets_;
+  std::size_t cached_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::size_t outstanding_ = 0;
   std::size_t max_cached_;
   Stats stats_;
 };

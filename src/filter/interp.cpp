@@ -7,28 +7,28 @@ namespace pa {
 std::uint64_t wide_digest(DigestKind kind, const HeaderView& hdr,
                           const Message& msg) {
   const CompiledLayout* lay = hdr.layout();
-  // Covered header bytes are few (tens): mask them into one small buffer,
-  // then stream the payload chain through the digest without flattening or
-  // concatenating anything.
+  // Covered header bytes are few (tens): mask them into a small on-stack
+  // buffer, streamed into the digest whenever it fills, then stream the
+  // payload chain through without flattening or concatenating anything.
   DigestStream ds(kind);
-  std::vector<std::uint8_t> buf;
+  std::uint8_t buf[64];
+  std::size_t used = 0;
   if (lay != nullptr) {
-    std::size_t covered = 0;
-    for (std::size_t r = 0; r < lay->num_regions(); ++r) {
-      covered += lay->digest_mask(r).size();
-    }
-    buf.reserve(covered);
     for (std::size_t r = 0; r < lay->num_regions(); ++r) {
       const auto& mask = lay->digest_mask(r);
       if (mask.empty()) continue;
       const std::uint8_t* base = hdr.region(r);
       if (base == nullptr) continue;
       for (std::size_t i = 0; i < mask.size(); ++i) {
-        buf.push_back(static_cast<std::uint8_t>(base[i] & mask[i]));
+        if (used == sizeof buf) {
+          ds.update(buf);
+          used = 0;
+        }
+        buf[used++] = static_cast<std::uint8_t>(base[i] & mask[i]);
       }
     }
   }
-  ds.update(buf);
+  ds.update(std::span<const std::uint8_t>(buf, used));
   msg.for_each_payload([&](std::span<const std::uint8_t> s) { ds.update(s); });
   return ds.finish();
 }

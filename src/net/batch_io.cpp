@@ -20,7 +20,7 @@ BatchCounters& batch_counters() {
       r.counter("net_batch_tx_partial_total",
                 "send_batch partial completions (k<n; remainder requeued)"),
       r.counter("net_batch_rx_buf_recycled_total",
-                "receive buffers reused from the loop's chunk cache"),
+                "consumed receive slots re-validated and reused"),
       r.counter("net_batch_rx_buf_fresh_total",
                 "receive buffers freshly allocated (cache slot still shared)"),
       r.gauge("net_batch_fallback_active",

@@ -109,7 +109,7 @@ struct BatchCounters {
   obs::Counter& rx_batches;      // recv_batch calls that returned datagrams
   obs::Counter& tx_batches;      // send_batch calls that accepted datagrams
   obs::Counter& tx_partial;      // send_batch accepted k < n (rest requeued)
-  obs::Counter& rx_buf_recycled; // receive buffers reused from the cache
+  obs::Counter& rx_buf_recycled; // consumed receive slots found reusable
   obs::Counter& rx_buf_fresh;    // receive buffers freshly allocated
   obs::Gauge& fallback_active;   // 1 when the fallback backend is in use
   obs::LatencyHistogram& rx_fill;         // datagrams per receive batch

@@ -14,7 +14,7 @@ class RealEndpoint::LoopEnv final : public Env {
   }
 
   void send_frame(WireFrame frame) override {
-    ep_.loop_->sendv(ep_.sock_, frame);
+    ep_.loop_->sendv(ep_.sock_, std::move(frame));
   }
 
   void deliver(std::span<const std::uint8_t> payload) override {

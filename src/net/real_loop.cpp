@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -149,6 +150,8 @@ void RealLoop::set_batch_config(const net::BatchConfig& cfg) {
   if (batch_cfg_.recv_buf_bytes == 0) batch_cfg_.recv_buf_bytes = 65536;
   backend_.reset();   // re-resolve against the new kind on next use
   rx_cache_.clear();  // resize lazily to the new batch geometry
+  rx_ready_ = 0;
+  rx_handed_ = 0;
 }
 
 void RealLoop::set_batch_backend(std::unique_ptr<net::BatchIoBackend> b) {
@@ -170,6 +173,7 @@ net::BatchIoBackend& RealLoop::backend() {
 void RealLoop::demote_backend() {
   backend_ = net::make_fallback_backend();
   net::batch_counters().fallback_active.set(1);
+  rx_ready_ = 0;  // re-validate every receive slot before the next batch
 }
 
 void RealLoop::raw_send(const Socket& s, const std::uint8_t* data,
@@ -280,12 +284,12 @@ void RealLoop::immediate_sendv(const Socket& s, const WireFrame& frame) {
   }
 }
 
-void RealLoop::sendv(int sock, const WireFrame& frame) {
+void RealLoop::sendv(int sock, WireFrame frame) {
   Socket& s = socks_.at(sock);
   if (batch_cfg_.enabled && on_dispatch_thread()) {
-    // Copying the frame is a refcount bump per slice; the chunk contract
+    // The train holds the frame's chunk references; the chunk contract
     // freezes the referenced bytes until the flush drops them.
-    s.train.push_back(frame);
+    s.train.push_back(std::move(frame));
     if (s.train.size() >= batch_cfg_.send_train) flush_train(s, sock);
     return;
   }
@@ -305,9 +309,10 @@ bool RealLoop::flush_train(Socket& s, int sock) {
 
   // Judge every parked datagram first (FIFO — the verdict sequence matches
   // the unbatched loop exactly), then hand the clean survivors to the
-  // kernel in sendmmsg-sized groups.
-  std::vector<WireFrame> ready;
-  ready.reserve(s.train.size());
+  // kernel in sendmmsg-sized groups. ready, iovs and items are loop-owned
+  // scratch reused across flushes; ready is emptied before returning.
+  std::vector<WireFrame>& ready = tx_ready_;
+  ready.clear();
   while (!s.train.empty()) {
     WireFrame f = std::move(s.train.front());
     s.train.pop_front();
@@ -350,12 +355,13 @@ bool RealLoop::flush_train(Socket& s, int sock) {
   // Build the gather lists. iovec storage must stay stable across the
   // send_batch call, so slices are flattened into one arena first.
   const sockaddr_in dst = loopback_dst(s.peer_port);
-  std::vector<iovec> iovs;
+  std::vector<iovec>& iovs = tx_iovs_;
+  iovs.clear();
   std::size_t total_slices = 0;
   for (const WireFrame& f : ready) total_slices += f.num_slices();
   iovs.reserve(total_slices);
-  std::vector<net::TxDatagram> items;
-  items.reserve(ready.size());
+  std::vector<net::TxDatagram>& items = tx_items_;
+  items.clear();
   for (const WireFrame& f : ready) {
     const std::size_t start = iovs.size();
     for (const Slice& sl : f.slices()) {
@@ -418,6 +424,10 @@ bool RealLoop::flush_train(Socket& s, int sock) {
   for (std::size_t i = items.size(); i-- > off;) {
     s.train.push_front(std::move(ready[i]));
   }
+  // Sent frames must not pin their chunks until the next flush: an echoed
+  // payload still references its receive chunk, which could then not be
+  // reused for the next batch.
+  ready.clear();
   if (s.fault) {
     // Mark requeued entries as pre-judged by detaching them from the fault
     // path: they already consumed their verdicts. Simplest correct form:
@@ -508,6 +518,10 @@ void RealLoop::prepare_rx_slots(std::size_t n) {
   if (rx_slots_.size() < n) rx_slots_.resize(n);
   auto& bc = net::batch_counters();
   for (std::size_t i = 0; i < n; ++i) {
+    // A slot the last batch did not hand out still holds the unique,
+    // sized chunk validated before that batch: its chunk never left the
+    // loop.
+    if (i >= rx_handed_ && i < rx_ready_) continue;
     ChunkRef& c = rx_cache_[i];
     if (c && c->unique() && c->data.size() >= batch_cfg_.recv_buf_bytes) {
       bc.rx_buf_recycled.inc();
@@ -520,6 +534,10 @@ void RealLoop::prepare_rx_slots(std::size_t n) {
     }
     rx_slots_[i] = net::RxSlot{c->data.data(), batch_cfg_.recv_buf_bytes, 0};
   }
+  // Slots [0, n) are valid now; those past n only if none of them was
+  // handed out.
+  rx_ready_ = rx_handed_ > n ? n : std::max(rx_ready_, n);
+  rx_handed_ = 0;
 }
 
 std::size_t RealLoop::drain_socket(std::size_t i,
@@ -553,6 +571,7 @@ std::size_t RealLoop::drain_socket(std::size_t i,
       break;
     }
     const std::size_t got = static_cast<std::size_t>(rc);
+    rx_handed_ = got;
     bc.rx_batches.inc();
     bc.rx_fill.record(got);
     loop_counters().rx.inc(got);

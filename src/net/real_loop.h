@@ -137,7 +137,7 @@ class RealLoop {
   /// elsewhere it goes out immediately via sendmsg(2). (With a fault
   /// injector armed, mutated datagrams are flattened privately at
   /// judgement time; clean ones stay gathered.)
-  void sendv(int sock, const WireFrame& frame);
+  void sendv(int sock, WireFrame frame);
 
   void on_frame(int sock, FrameHandler handler);
 
@@ -220,7 +220,9 @@ class RealLoop {
   /// Swap to the fallback backend after a runtime ENOSYS.
   void demote_backend();
   /// Ensure rx chunk cache slots exist, are uniquely owned, and are sized;
-  /// fills rx_slots_ for a recv_batch call of `n` datagrams.
+  /// fills rx_slots_ for a recv_batch call of `n` datagrams. Only slots the
+  /// previous batch handed to handlers, and slots not yet validated, are
+  /// checked.
   void prepare_rx_slots(std::size_t n);
   /// Drain one ready socket in kernel batches; returns datagrams ingested.
   std::size_t drain_socket(std::size_t i, const std::function<bool()>& done);
@@ -238,6 +240,12 @@ class RealLoop {
   std::unique_ptr<net::BatchIoBackend> backend_;
   std::vector<ChunkRef> rx_cache_;   // loop-owned recv chunks, reused when unique
   std::vector<net::RxSlot> rx_slots_;
+  std::size_t rx_ready_ = 0;   // slots [rx_handed_, rx_ready_) are valid
+  std::size_t rx_handed_ = 0;  // slots the last batch gave to handlers
+  // flush_train scratch, reused across flushes (dispatch-thread only).
+  std::vector<WireFrame> tx_ready_;
+  std::vector<iovec> tx_iovs_;
+  std::vector<net::TxDatagram> tx_items_;
   std::uint32_t consecutive_full_ = 0;  // full recvmmsg batches in a row
   std::atomic<bool> in_dispatch_{false};
   std::atomic<std::thread::id> dispatch_tid_{};

@@ -302,11 +302,7 @@ void PaEngine::report_pressure() {
   if (!cfg_.governor) return;
   cfg_.governor->report_backlog(backlog_.size());
   cfg_.governor->report_recv_queue(recv_queue_.size());
-  const MessagePool::Stats& ps = pool_.stats();
-  const std::uint64_t in_use =
-      ps.acquires >= ps.releases ? ps.acquires - ps.releases : 0;
-  cfg_.governor->report_pool(static_cast<std::size_t>(in_use),
-                             cfg_.pool_capacity);
+  cfg_.governor->report_pool(pool_.outstanding(), cfg_.pool_capacity);
   cfg_.governor->tick(env_.now());
 }
 
@@ -398,6 +394,7 @@ void PaEngine::submit(Message m) {
   for (std::size_t i = 0; i < stack_.size(); ++i) {
     std::vector<Message> parts = stack_.layer(i).transform_send(m);
     if (!parts.empty()) {
+      pool_.abandon(m);  // the fragments replace it; only they are retired
       for (Message& p : parts) {
         env_.on_alloc(p.capacity());
         submit(std::move(p));

@@ -394,6 +394,106 @@ TEST(MessagePool, StressWithSharingNeverLeaksOrCorrupts) {
   }
 }
 
+// Reference for the pool's index: the linear first-fit scan it replaced —
+// released storage sizes in release order, capped; an acquire takes the
+// first (earliest-released) size that fits.
+struct LinearFirstFit {
+  explicit LinearFirstFit(std::size_t cap) : cap(cap) {}
+  bool acquire(std::size_t want) {  // true on a miss
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      if (sizes[i] >= want) {
+        sizes.erase(sizes.begin() + static_cast<std::ptrdiff_t>(i));
+        return false;
+      }
+    }
+    ++fresh;
+    bytes += want;
+    return true;
+  }
+  void release(std::size_t size) {
+    if (sizes.size() < cap) sizes.push_back(size);
+  }
+  std::size_t cap;
+  std::vector<std::size_t> sizes;
+  std::uint64_t fresh = 0;
+  std::uint64_t bytes = 0;
+};
+
+TEST(MessagePool, IndexMatchesLinearFirstFitOracle) {
+  // Seeded acquire/release sequences against the reference: hit/miss on
+  // every acquire and the Stats / cached() view must agree exactly. Caps
+  // cover the empty pool (caches nothing), tiny pools that fill and shed
+  // buckets of ever-new sizes, and the engine default.
+  for (const std::size_t cap : {0u, 1u, 4u, 16u, 256u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "cap " << cap << " seed " << seed);
+      Rng rng(seed * 7919 + cap);
+      MessagePool pool(cap);
+      LinearFirstFit ref(cap);
+      struct Live {
+        Message m;
+        std::size_t want;
+      };
+      std::vector<Live> live;
+      auto size_of = [&]() -> std::size_t {
+        // Mostly a few recurring sizes (the engine's steady state), some
+        // arbitrary ones.
+        static constexpr std::size_t kCommon[] = {0, 8, 64, 200, 1024};
+        return rng.chance(0.7) ? kCommon[rng.next_below(5)]
+                               : rng.next_below(3000);
+      };
+      for (int step = 0; step < 3000; ++step) {
+        const double roll = rng.next_double();
+        // Phases: fill-to-cap bursts of releases, then acquire runs.
+        const bool fill_phase = (step / 250) % 2 == 1;
+        if (roll < (fill_phase ? 0.2 : 0.55)) {
+          Message m(rng.next_below(96));
+          const std::size_t pc = size_of();
+          const std::size_t want = m.capacity() + pc;
+          ASSERT_EQ(pool.account_acquire(m, pc), ref.acquire(want));
+          live.push_back(Live{std::move(m), want});
+        } else if (roll < 0.9 && !live.empty()) {
+          const std::size_t i = rng.next_below(live.size());
+          Message& m = live[i].m;
+          if (rng.chance(0.3)) m.push(rng.next_below(300));  // may regrow
+          ref.release(std::max(m.capacity(), live[i].want));
+          pool.release(std::move(m));
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        } else {
+          // A message the pool never handed out (a received frame).
+          Message m = Message::with_payload(
+              std::vector<std::uint8_t>(size_of(), 1));
+          ref.release(m.capacity());
+          pool.release(std::move(m));
+        }
+        ASSERT_EQ(pool.cached(), ref.sizes.size());
+        ASSERT_EQ(pool.outstanding(), live.size());
+      }
+      EXPECT_EQ(pool.stats().fresh_allocations, ref.fresh);
+      EXPECT_EQ(pool.stats().bytes_allocated, ref.bytes);
+      EXPECT_EQ(pool.cached(), ref.sizes.size());
+      if (cap > 0) {
+        EXPECT_LT(ref.fresh, pool.stats().acquires);  // hits seen
+      }
+    }
+  }
+}
+
+TEST(MessagePool, OutstandingCountsOnlyAcquiredMessages) {
+  MessagePool pool;
+  Message a = pool.acquire_with_payload(seq_bytes(8));
+  Message b = pool.acquire_with_payload(seq_bytes(8));
+  EXPECT_EQ(pool.outstanding(), 2u);
+  pool.release(Message::with_payload(seq_bytes(8)));  // never acquired
+  EXPECT_EQ(pool.outstanding(), 2u);
+  pool.abandon(a);  // replaced by fragments; never released
+  pool.abandon(a);  // idempotent
+  EXPECT_EQ(pool.outstanding(), 1u);
+  pool.release(std::move(b));
+  EXPECT_EQ(pool.outstanding(), 0u);
+  EXPECT_EQ(pool.stats().releases, 2u);
+}
+
 TEST(BufConcurrency, ChunkRefcountsAreThreadSafe) {
   // Frames cross threads in the deferred-work runtime: many threads clone,
   // re-share and drop references to the same payload chunks concurrently.

@@ -2,6 +2,8 @@
 // builder, validator, interpreter, and the compiled backend.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "buf/message.h"
 #include "filter/compiled.h"
 #include "filter/interp.h"
@@ -333,6 +335,68 @@ TEST_P(FilterEquivalence, CompiledMatchesInterpreter) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FilterEquivalence,
                          ::testing::Range<std::uint64_t>(1, 65));
+
+// wide_digest masks the covered header bytes through a small fixed buffer
+// and streams the payload chain; the result must equal the one-shot digest
+// of one flat buffer: every bound region's masked bytes, then the payload.
+TEST(WideDigest, MatchesFlatReference) {
+  Rng rng(0x5171);
+  // 1 field: a few covered bytes; 60 fields: hundreds, several times the
+  // on-stack buffer. Odd field widths give odd region lengths.
+  for (const unsigned nfields : {1u, 7u, 60u}) {
+    LayoutRegistry reg;
+    reg.add_field(FieldClass::kConnId, "cookie", 48);
+    reg.add_field(FieldClass::kMsgSpec, "sum", 32);
+    for (unsigned i = 0; i < nfields; ++i) {
+      static constexpr unsigned kBits[] = {8, 13, 1, 32, 64, 5};
+      reg.add_field(FieldClass::kProtoSpec, "p" + std::to_string(i),
+                    kBits[i % 6]);
+    }
+    reg.add_field(FieldClass::kGossip, "ack", 21);
+    const CompiledLayout cl = reg.compile(LayoutMode::kCompact);
+    std::vector<std::vector<std::uint8_t>> regions(cl.num_regions());
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+      regions[r].resize(cl.region_bytes(r));
+      for (auto& b : regions[r]) b = static_cast<std::uint8_t>(rng.next());
+    }
+    for (const std::size_t plen : {0u, 1u, 7u, 300u, 4097u}) {
+      for (const bool bind_gossip : {true, false}) {
+        HeaderView v(&cl, Endian::kBig);
+        std::vector<std::uint8_t> flat;
+        for (std::size_t r = 0; r < regions.size(); ++r) {
+          if (r == static_cast<std::size_t>(FieldClass::kGossip) &&
+              !bind_gossip) {
+            continue;  // an unbound region is skipped
+          }
+          v.set_region(r, regions[r].data());
+          const auto& mask = cl.digest_mask(r);
+          for (std::size_t k = 0; k < mask.size(); ++k) {
+            flat.push_back(static_cast<std::uint8_t>(regions[r][k] & mask[k]));
+          }
+        }
+        // A payload chain of odd-length slices.
+        std::vector<std::uint8_t> payload(plen);
+        for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
+        const std::size_t cut1 = plen / 3;
+        const std::size_t cut2 = plen - plen / 5;
+        Message m = Message::with_payload(
+            std::span<const std::uint8_t>(payload.data(), cut1));
+        m.append_payload(std::span<const std::uint8_t>(payload.data() + cut1,
+                                                       cut2 - cut1));
+        m.append_payload(std::span<const std::uint8_t>(payload.data() + cut2,
+                                                       plen - cut2));
+        flat.insert(flat.end(), payload.begin(), payload.end());
+        for (const DigestKind k :
+             {DigestKind::kCrc32c, DigestKind::kFletcher32,
+              DigestKind::kSum16, DigestKind::kXor8}) {
+          EXPECT_EQ(wide_digest(k, v, m), digest(k, flat))
+              << digest_kind_name(k) << " fields " << nfields << " payload "
+              << plen << " gossip " << bind_gossip;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace pa

@@ -404,6 +404,77 @@ TEST(RealBatch, RecvBatchStraddlesTimerDeadline) {
   EXPECT_GT(net::batch_counters().rx_buf_recycled.value(), recycled0);
 }
 
+TEST(RealBatch, RetainedFramesSurviveSlotReuse) {
+  REQUIRE_SOCKETS();
+  RealLoop loop;
+  net::BatchConfig cfg;
+  cfg.recv_buf_bytes = 2048;
+  loop.set_batch_config(cfg);
+  int sa = loop.open_udp(0);
+  int sb = loop.open_udp(0);
+  ASSERT_GE(sa, 0);
+  ASSERT_GE(sb, 0);
+  loop.set_peer(sa, loop.port(sb));
+
+  auto datagram = [](std::uint32_t idx) {
+    std::vector<std::uint8_t> d(64);
+    store_be32(d.data(), idx);
+    for (std::size_t j = 4; j < d.size(); ++j) {
+      d[j] = static_cast<std::uint8_t>(idx * 7 + j);
+    }
+    return d;
+  };
+  // The handler keeps every third frame alive — its receive chunk stays
+  // referenced across later recvmmsg batches into the same slots.
+  std::vector<std::uint32_t> got;
+  std::vector<std::pair<std::uint32_t, WireFrame>> kept;
+  loop.on_frame(sb, [&](WireFrame f, Vt) {
+    const std::uint32_t idx = load_be32(f.flatten().data());
+    got.push_back(idx);
+    if (idx % 3 == 0) kept.emplace_back(idx, std::move(f));
+  });
+
+  // Each round queues 10 datagrams before the loop runs, so one recvmmsg
+  // takes them all into slots 0..9.
+  constexpr std::uint32_t kPerRound = 10;
+  std::uint32_t next = 0;
+  auto round = [&] {
+    for (std::uint32_t i = 0; i < kPerRound; ++i, ++next) {
+      const auto d = datagram(next);
+      loop.send(sa, d.data(), d.size());
+    }
+    ASSERT_TRUE(loop.run_until([&] { return got.size() >= next; }, vt_s(5)));
+  };
+  auto& bc = net::batch_counters();
+  round();
+  const std::uint64_t fresh0 = bc.rx_buf_fresh.value();
+  const std::uint64_t recycled0 = bc.rx_buf_recycled.value();
+  round();
+  round();
+  round();
+  // Each later prepare re-validated only the ten slots the previous batch
+  // handed out: the retained ones needed a fresh chunk, the rest were
+  // reused, and the 22 slots no batch touched were not looked at.
+  std::size_t kept_rounds_1_3 = 0;
+  for (const auto& [idx, f] : kept) kept_rounds_1_3 += idx < 3 * kPerRound;
+  EXPECT_EQ(bc.rx_buf_fresh.value() - fresh0, kept_rounds_1_3);
+  EXPECT_EQ(bc.rx_buf_recycled.value() - recycled0,
+            3 * kPerRound - kept_rounds_1_3);
+
+  // Reconfiguring mid-run (smaller batches: one wakeup now drains the
+  // round in several recvmmsg calls) still delivers everything in order.
+  cfg.recv_batch = 4;
+  loop.set_batch_config(cfg);
+  round();
+  round();
+  ASSERT_EQ(got.size(), next);
+  for (std::uint32_t i = 0; i < next; ++i) EXPECT_EQ(got[i], i);
+
+  // No later batch overwrote a retained frame's bytes.
+  ASSERT_EQ(kept.size(), (next + 2) / 3);
+  for (const auto& [idx, f] : kept) EXPECT_EQ(f.flatten(), datagram(idx));
+}
+
 TEST(RealBatch, FallbackBackendDelivers) {
   REQUIRE_SOCKETS();
   Pair p;

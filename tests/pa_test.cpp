@@ -367,6 +367,57 @@ TEST(PaEngine, PoolIsPureAccountingOracle) {
             off.metrics.at("b_gc_allocated_bytes_total"));
 }
 
+TEST(PaEngine, PoolOutstandingTracksOwnSendsOnly) {
+  // The governor's pool-occupancy signal: messages the engine acquired and
+  // has not yet retired. Received frames, packed trains and protocol emits
+  // are retired through the pool too, but were never acquired from it.
+  World w;
+  auto& a = w.add_node("a");
+  auto& b = w.add_node("b");
+  ConnOptions opt;
+  opt.message_pool = true;
+  auto [ea, eb] = w.connect(a, b, opt);
+  const MessagePool& pa_pool = ea->pa()->pool();
+  const MessagePool& pb_pool = eb->pa()->pool();
+
+  // A burst before the world runs: one message in flight (awaiting its
+  // post-send phase), the rest backlogged.
+  for (int i = 0; i < 20; ++i) ea->send(std::vector<std::uint8_t>(16, 1));
+  EXPECT_EQ(ea->pa()->backlog_len(), 19u);
+  EXPECT_EQ(pa_pool.outstanding(), ea->pa()->backlog_len() + 1);
+  w.run();
+  EXPECT_EQ(pa_pool.outstanding(), 0u);
+  // b retired every frame it received and acquired nothing: the old
+  // acquires-minus-releases signal would read 0 here on any receiver.
+  EXPECT_EQ(pb_pool.outstanding(), 0u);
+  EXPECT_GT(pb_pool.stats().releases, pb_pool.stats().acquires);
+
+  // Receive traffic interleaved with a sender's own messages leaves its
+  // count alone: a decrement per retired reception would wrap it.
+  for (int i = 0; i < 5; ++i) ea->send(std::vector<std::uint8_t>(16, 2));
+  EXPECT_EQ(pa_pool.outstanding(), 5u);
+  for (int i = 0; i < 5; ++i) eb->send(std::vector<std::uint8_t>(16, 3));
+  w.run();
+  EXPECT_EQ(pa_pool.outstanding(), 0u);
+  EXPECT_EQ(pb_pool.outstanding(), 0u);
+
+  // Fragmenting and packing in both directions, then drained: fragmented
+  // originals are abandoned, their fragments and packed trains are not
+  // counted, so both counts return to 0.
+  for (int round = 0; round < 6; ++round) {
+    Endpoint* from = round % 2 == 0 ? ea : eb;
+    from->send(std::vector<std::uint8_t>(20000, 4));  // > frag threshold
+    for (int i = 0; i < 12; ++i) from->send(std::vector<std::uint8_t>(32, 5));
+  }
+  EXPECT_GT(pa_pool.outstanding(), 0u);
+  w.run();
+  EXPECT_GT(ea->engine().stats().packed_batches +
+                eb->engine().stats().packed_batches,
+            0u);
+  EXPECT_EQ(pa_pool.outstanding(), 0u);
+  EXPECT_EQ(pb_pool.outstanding(), 0u);
+}
+
 TEST(PaEngine, StatsCoherent) {
   World w;
   auto& a = w.add_node("a");
