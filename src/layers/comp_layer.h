@@ -70,7 +70,10 @@ class CompLayer final : public Layer {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Exposed for tests: raw LZ round-trip without the tag framing.
+  /// Exposed for tests: raw LZ round-trip without the tag framing. The
+  /// compressor's match table is per thread and reused across calls without
+  /// clearing or allocation. The decompressor rejects, before sizing `out`,
+  /// an orig_len the stream cannot produce (over 255 bytes per stream byte).
   static std::vector<std::uint8_t> lz_compress(
       std::span<const std::uint8_t> src);
   static bool lz_decompress(std::span<const std::uint8_t> src,

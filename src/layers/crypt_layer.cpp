@@ -98,23 +98,34 @@ void CryptLayer::predict_deliver(HeaderView& hdr) const {
   hdr.set(f_nonce_, expected_in_);
 }
 
-std::uint64_t CryptLayer::keystream_block(std::uint32_t nonce,
+std::uint64_t CryptLayer::nonce_iv(std::uint32_t nonce) const {
+  return mix64(cfg_.key1 ^ (static_cast<std::uint64_t>(nonce) << 20));
+}
+
+std::uint64_t CryptLayer::keystream_block(std::uint64_t iv,
                                           std::uint64_t block) const {
-  const std::uint64_t iv =
-      mix64(cfg_.key1 ^ (static_cast<std::uint64_t>(nonce) << 20));
   return mix64(cfg_.key0 ^ iv ^ (block * 0x9e3779b97f4a7c15ull));
 }
 
 void CryptLayer::apply_keystream(std::uint32_t nonce,
                                  std::span<const std::uint8_t> in,
                                  std::uint8_t* out) const {
+  const std::uint64_t iv = nonce_iv(nonce);
   const std::size_t n = in.size();
-  for (std::size_t off = 0; off < n; off += 8) {
-    const std::uint64_t ks = keystream_block(nonce, off / 8);
-    const std::size_t take = n - off < 8 ? n - off : 8;
+  const std::size_t whole = n - n % 8;
+  // Block i's keystream word XORs bytes [8i, 8i+8) in host byte order, the
+  // same bytes a per-byte walk of its memory representation would use.
+  for (std::size_t off = 0; off < whole; off += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, in.data() + off, 8);
+    w ^= keystream_block(iv, off / 8);
+    std::memcpy(out + off, &w, 8);
+  }
+  if (whole < n) {
+    const std::uint64_t ks = keystream_block(iv, whole / 8);
     std::uint8_t ksb[8];
     std::memcpy(ksb, &ks, 8);
-    for (std::size_t i = 0; i < take; ++i) out[off + i] = in[off + i] ^ ksb[i];
+    for (std::size_t i = whole; i < n; ++i) out[i] = in[i] ^ ksb[i - whole];
   }
 }
 

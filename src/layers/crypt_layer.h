@@ -80,16 +80,20 @@ class CryptLayer final : public Layer {
   std::uint32_t next_nonce() const { return next_nonce_; }
   std::uint32_t expected_nonce() const { return expected_in_; }
 
+  /// out[i] = in[i] ^ keystream(nonce)[i]: the cipher both ways. Exposed
+  /// for tests; `out` may alias `in`.
+  void apply_keystream(std::uint32_t nonce, std::span<const std::uint8_t> in,
+                       std::uint8_t* out) const;
+
  private:
   static bool nonce_lt(std::uint32_t a, std::uint32_t b) {
     return static_cast<std::int32_t>(a - b) < 0;
   }
 
-  std::uint64_t keystream_block(std::uint32_t nonce, std::uint64_t block) const;
+  std::uint64_t nonce_iv(std::uint32_t nonce) const;
+  std::uint64_t keystream_block(std::uint64_t iv, std::uint64_t block) const;
   std::uint64_t tag(std::uint32_t nonce,
                     std::span<const std::uint8_t> ct) const;
-  void apply_keystream(std::uint32_t nonce, std::span<const std::uint8_t> in,
-                       std::uint8_t* out) const;
 
   CryptConfig cfg_;
   FieldHandle f_nonce_{};  // proto-spec, 32 bits: AEAD nonce counter

@@ -1,10 +1,15 @@
 // Robustness "fuzz" properties: random and mutated wire bytes must never
 // crash, corrupt state, or produce spurious application deliveries; random
 // filter programs must stay within their statically computed stack bounds;
-// random packing descriptors must never read out of bounds.
+// random packing descriptors must never read out of bounds; random and
+// damaged compressed parts must never throw out of the comp layer's inflate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "horus/world.h"
+#include "layers/comp_layer.h"
 #include "pa/packing.h"
 #include "util/rng.h"
 
@@ -151,6 +156,106 @@ TEST(PreambleFuzz, DecodeNeverMisbehaves) {
       EXPECT_EQ(std::memcmp(re, buf.data(), 8), 0);
     }
   }
+}
+
+// --- comp layer deliver transform ------------------------------------------
+
+void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+// The claimed length of a well-formed [0x01][varint] prefix, if any.
+std::optional<std::uint64_t> claimed_len(std::span<const std::uint8_t> in) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 1, shift = 0; i < in.size() && shift < 64;
+       ++i, shift += 7) {
+    v |= static_cast<std::uint64_t>(in[i] & 0x7f) << shift;
+    if ((in[i] & 0x80) == 0) return v;
+  }
+  return std::nullopt;
+}
+
+// Random and mutated tagged streams with random varints: decode_part must
+// never throw or read outside its input (the sanitizer build checks the
+// latter; every input sits in an exactly-sized heap block), and an
+// accepted compressed part must be exactly as long as it claimed.
+TEST(CompFuzz, DecodePartNeverThrowsOrOverreads) {
+  CompLayer comp(CompConfig{});
+  Rng rng(2024);
+  std::vector<std::uint8_t> scratch;
+  std::size_t inflated = 0;
+  std::size_t rejected = 0;
+  for (int i = 0; i < 6000; ++i) {
+    // A genuine part: text-like bytes with repeats, so the stream carries
+    // literals, matches and extended lengths.
+    std::vector<std::uint8_t> src(rng.next_below(2000));
+    for (std::size_t k = 0; k < src.size(); ++k) {
+      src[k] = k >= 8 && rng.chance(0.7)
+                   ? src[k - 1 - rng.next_below(std::min<std::size_t>(k, 64))]
+                   : static_cast<std::uint8_t>('a' + rng.next_below(6));
+    }
+    const auto lz = CompLayer::lz_compress(src);
+    std::vector<std::uint8_t> in = {0x01};
+    switch (rng.next_below(5)) {
+      case 0:  // intact
+        put_varint(in, src.size());
+        break;
+      case 1:  // any 64-bit claim
+        put_varint(in, rng.next() >> rng.next_below(64));
+        break;
+      case 2:  // a claim near the truth (below 0 wraps to a huge one)
+        put_varint(in, src.size() + rng.next_below(40) - 20);
+        break;
+      case 3:  // an overlong or unterminated varint
+        for (std::size_t k = rng.next_below(12); k > 0; --k) {
+          in.push_back(static_cast<std::uint8_t>(rng.next() | 0x80));
+        }
+        break;
+      default:  // no varint, behind tag 0x00 (stored), 0x01 or 0x02
+        in[0] = static_cast<std::uint8_t>(rng.next_below(3));
+        break;
+    }
+    in.insert(in.end(), lz.begin(), lz.end());
+    const bool intact = in[0] == 0x01 && claimed_len(in) == src.size();
+    const bool damage = rng.chance(0.5);
+    if (damage) {  // overwrite, truncate, or both
+      for (int f = static_cast<int>(rng.next_below(4)); f > 0; --f) {
+        in[rng.next_below(in.size())] = static_cast<std::uint8_t>(rng.next());
+      }
+      if (rng.chance(0.3)) in.resize(rng.next_below(in.size() + 1));
+    }
+
+    std::span<const std::uint8_t> res;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = comp.decode_part(in, res, scratch)) << i;
+    if (intact && !damage) {
+      ASSERT_TRUE(ok) << i;
+      ASSERT_TRUE(std::equal(res.begin(), res.end(), src.begin(), src.end()));
+    }
+    if (!ok) {
+      ++rejected;
+      continue;
+    }
+    ASSERT_FALSE(in.empty());
+    if (in[0] == 0x00) {
+      EXPECT_EQ(res.data(), in.data() + 1);
+      EXPECT_EQ(res.size(), in.size() - 1);
+      continue;
+    }
+    ASSERT_EQ(in[0], 0x01);
+    const auto claim = claimed_len(in);
+    ASSERT_TRUE(claim.has_value());
+    ASSERT_EQ(res.size(), *claim) << i;
+    EXPECT_EQ(res.data(), scratch.data());
+    ++inflated;
+  }
+  EXPECT_GT(inflated, 500u);
+  EXPECT_GT(rejected, 1000u);
+  EXPECT_EQ(comp.stats().codec_errors, rejected);
 }
 
 }  // namespace

@@ -2,15 +2,26 @@
 // optional layers must build, init, round-trip traffic in both directions,
 // and converge its sync digests; invalid compositions must be rejected at
 // construction with an actionable message. Plus unit coverage for the three
-// new layers themselves: the LZ codec round-trip, AEAD tamper rejection
-// end-to-end, and the RelayForwarder's derived hop peeking.
+// new layers themselves: the LZ codec round-trip and a differential oracle
+// of the LZ and keystream kernels against their byte-at-a-time originals,
+// oversized length claims dropped as codec errors by both engines, AEAD
+// tamper rejection end-to-end, and the RelayForwarder's derived hop peeking.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <deque>
+#include <functional>
+#include <iterator>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "classic/engine.h"
+#include "horus/env.h"
 #include "horus/relay.h"
 #include "horus/stack_spec.h"
 #include "horus/world.h"
@@ -289,6 +300,440 @@ TEST(StackMix, LzRejectsTruncatedStream) {
   packed.resize(packed.size() / 2);
   std::vector<std::uint8_t> out;
   EXPECT_FALSE(CompLayer::lz_decompress(packed, src.size(), out));
+}
+
+// --- LZ + keystream differential oracle ------------------------------------
+
+// The byte-at-a-time codec the fast kernels replaced, kept as the reference
+// with its constants inlined: a fresh match table per call, push_back
+// output, per-byte match copies. The fast kernels must agree with it byte
+// for byte.
+namespace ref {
+
+std::uint32_t read32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+void emit_len(std::vector<std::uint8_t>& out, std::size_t l) {
+  while (l >= 255) {
+    out.push_back(255);
+    l -= 255;
+  }
+  out.push_back(static_cast<std::uint8_t>(l));
+}
+
+std::vector<std::uint8_t> lz_compress(std::span<const std::uint8_t> src) {
+  std::vector<std::uint8_t> out;
+  const std::size_t n = src.size();
+  const std::uint8_t* p = src.data();
+  auto emit_literals = [&](std::size_t from, std::size_t count,
+                           std::uint8_t match_nibble) {
+    out.push_back(static_cast<std::uint8_t>((count < 15 ? count : 15) << 4) |
+                  match_nibble);
+    if (count >= 15) emit_len(out, count - 15);
+    out.insert(out.end(), p + from, p + from + count);
+  };
+  if (n < 13) {
+    emit_literals(0, n, 0);
+    return out;
+  }
+  std::vector<std::int32_t> tbl(std::size_t{1} << 13, -1);
+  std::size_t pos = 0;
+  std::size_t anchor = 0;
+  const std::size_t mflimit = n - 9;
+  const std::size_t match_end_limit = n - 5;
+  while (pos < mflimit) {
+    const std::uint32_t v = read32(p + pos);
+    const std::uint32_t h = (v * 2654435761u) >> 19;
+    const std::int32_t cand = tbl[h];
+    tbl[h] = static_cast<std::int32_t>(pos);
+    if (cand < 0 || pos - static_cast<std::size_t>(cand) > 0xffff ||
+        read32(p + cand) != v) {
+      ++pos;
+      continue;
+    }
+    std::size_t len = 4;
+    while (pos + len < match_end_limit && p[cand + len] == p[pos + len]) {
+      ++len;
+    }
+    const std::size_t ml = len - 4;
+    emit_literals(anchor, pos - anchor,
+                  static_cast<std::uint8_t>(ml < 15 ? ml : 15));
+    const std::size_t offset = pos - static_cast<std::size_t>(cand);
+    out.push_back(static_cast<std::uint8_t>(offset & 0xff));
+    out.push_back(static_cast<std::uint8_t>(offset >> 8));
+    if (ml >= 15) emit_len(out, ml - 15);
+    pos += len;
+    anchor = pos;
+  }
+  emit_literals(anchor, n - anchor, 0);
+  return out;
+}
+
+bool lz_decompress(std::span<const std::uint8_t> src, std::size_t orig_len,
+                   std::vector<std::uint8_t>& out) {
+  out.clear();
+  out.reserve(orig_len);
+  std::size_t pos = 0;
+  auto read_extended = [&](std::size_t base, std::size_t& len) -> bool {
+    len = base;
+    if (base != 15) return true;
+    while (pos < src.size() && src[pos] == 255) {
+      len += 255;
+      ++pos;
+    }
+    if (pos >= src.size()) return false;
+    len += src[pos++];
+    return true;
+  };
+  while (pos < src.size()) {
+    const std::uint8_t token = src[pos++];
+    std::size_t lit;
+    if (!read_extended(token >> 4, lit)) return false;
+    if (pos + lit > src.size() || out.size() + lit > orig_len) return false;
+    out.insert(out.end(), src.begin() + pos, src.begin() + pos + lit);
+    pos += lit;
+    if (pos == src.size()) break;
+    if (pos + 2 > src.size()) return false;
+    const std::size_t offset =
+        src[pos] | (static_cast<std::size_t>(src[pos + 1]) << 8);
+    pos += 2;
+    if (offset == 0 || offset > out.size()) return false;
+    std::size_t ml;
+    if (!read_extended(token & 0x0f, ml)) return false;
+    ml += 4;
+    if (out.size() + ml > orig_len) return false;
+    const std::size_t from = out.size() - offset;
+    for (std::size_t i = 0; i < ml; ++i) out.push_back(out[from + i]);
+  }
+  return out.size() == orig_len;
+}
+
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+// One keystream block per byte, iv recomputed each time.
+std::vector<std::uint8_t> keystream_xor(const CryptConfig& k,
+                                        std::uint32_t nonce,
+                                        std::span<const std::uint8_t> in) {
+  std::vector<std::uint8_t> out(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const std::uint64_t iv =
+        mix64(k.key1 ^ (static_cast<std::uint64_t>(nonce) << 20));
+    const std::uint64_t ks =
+        mix64(k.key0 ^ iv ^ ((i / 8) * 0x9e3779b97f4a7c15ull));
+    std::uint8_t ksb[8];
+    std::memcpy(ksb, &ks, 8);
+    out[i] = in[i] ^ ksb[i % 8];
+  }
+  return out;
+}
+
+}  // namespace ref
+
+std::vector<std::uint8_t> word_text(std::size_t n, Rng& rng) {
+  static constexpr const char* kWords[] = {
+      "the",  "layer", "protocol", "header", "message", "window", "of",
+      "and",  "fast",  "path",     "stack",  "predict", "a",      "frame"};
+  std::vector<std::uint8_t> v(n);
+  std::size_t i = 0;
+  while (i < n) {
+    for (const char* c = kWords[rng.next_below(std::size(kWords))];
+         *c && i < n; ++c) {
+      v[i++] = static_cast<std::uint8_t>(*c);
+    }
+    if (i < n) v[i++] = rng.next_below(8) == 0 ? '\n' : ' ';
+  }
+  return v;
+}
+
+// Seeded noise, word text, byte runs, period-7 repeats.
+std::vector<std::uint8_t> oracle_input(int kind, std::size_t n, Rng& rng) {
+  switch (kind) {
+    case 0:
+      return noise(n, rng.next());
+    case 1:
+      return word_text(n, rng);
+    case 2: {
+      std::vector<std::uint8_t> v(n);
+      std::size_t i = 0;
+      while (i < n) {
+        const auto b = static_cast<std::uint8_t>(rng.next());
+        for (std::size_t r = 1 + rng.next_below(300); r > 0 && i < n; --r) {
+          v[i++] = b;
+        }
+      }
+      return v;
+    }
+    default: {
+      std::vector<std::uint8_t> v(n);
+      for (std::size_t i = 0; i < n; ++i) v[i] = "horus!\x7f"[i % 7];
+      return v;
+    }
+  }
+}
+
+// The decoders must agree on accept/reject and, when accepting, on output.
+void expect_same_decode(std::span<const std::uint8_t> stream,
+                        std::size_t claim) {
+  std::vector<std::uint8_t> want;
+  std::vector<std::uint8_t> got;
+  const bool want_ok = ref::lz_decompress(stream, claim, want);
+  const bool got_ok = CompLayer::lz_decompress(stream, claim, got);
+  ASSERT_EQ(got_ok, want_ok) << "claim " << claim << " stream "
+                             << stream.size();
+  if (want_ok) {
+    ASSERT_EQ(got, want);
+  }
+}
+
+TEST(StackMix, LzMatchesReferenceCodecByteForByte) {
+  Rng rng(4242);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 300; ++n) sizes.push_back(n);
+  for (int i = 0; i < 150; ++i) sizes.push_back(rng.next_below(3001));
+  // Past the 16-bit offset window: matches further back than 0xffff must
+  // be refused exactly as the reference refuses them.
+  for (std::size_t n : {65535u, 65536u, 65537u, 70000u, 140001u}) {
+    sizes.push_back(n);
+  }
+  std::size_t calls = 0;
+  // Back to back, so every call runs on a table full of earlier calls'
+  // entries; a stale entry that reads as live changes the parse.
+  for (std::size_t n : sizes) {
+    for (int kind = 0; kind < 4; ++kind) {
+      const auto src = oracle_input(kind, n, rng);
+      const auto want = ref::lz_compress(src);
+      const auto got = CompLayer::lz_compress(src);
+      ++calls;
+      ASSERT_EQ(got, want) << "kind " << kind << " n " << n;
+      std::vector<std::uint8_t> out;
+      ASSERT_TRUE(CompLayer::lz_decompress(got, n, out));
+      ASSERT_EQ(out, src);
+    }
+  }
+  // The same input again right after itself: the second call must not see
+  // the first call's entries as matches.
+  const auto text = oracle_input(1, 2000, rng);
+  EXPECT_EQ(CompLayer::lz_compress(text), ref::lz_compress(text));
+  EXPECT_EQ(CompLayer::lz_compress(text), ref::lz_compress(text));
+  // A repeat of a noise block 70000 bytes back is out of window; 40000
+  // bytes back is in it.
+  for (std::size_t gap : {40000u, 70000u}) {
+    auto v = noise(gap, 5);
+    v.insert(v.end(), v.begin(), v.begin() + 3000);
+    EXPECT_EQ(CompLayer::lz_compress(v), ref::lz_compress(v)) << gap;
+  }
+  EXPECT_GT(calls, 1800u);
+}
+
+// The match table is per thread: compressors running at once (engines on
+// executor workers) must neither share entries nor race (TSan slice).
+TEST(StackMix, LzCompressorsOnSeveralThreadsMatchReference) {
+  Rng rng(31);
+  std::vector<std::vector<std::uint8_t>> inputs;
+  std::vector<std::vector<std::uint8_t>> want;
+  for (int i = 0; i < 64; ++i) {
+    inputs.push_back(oracle_input(i % 4, rng.next_below(2500), rng));
+    want.push_back(ref::lz_compress(inputs.back()));
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+          const std::size_t k = (i * 7 + static_cast<std::size_t>(t)) % 64;
+          if (CompLayer::lz_compress(inputs[k]) != want[k]) ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(StackMix, LzDecoderMatchesReferenceOnDamagedStreams) {
+  Rng rng(777);
+  for (int round = 0; round < 600; ++round) {
+    const std::size_t n = rng.next_below(1500);
+    const auto src = oracle_input(static_cast<int>(rng.next_below(4)), n, rng);
+    const auto good = CompLayer::lz_compress(src);
+    // Right and wrong claimed lengths on the intact stream.
+    for (std::size_t claim :
+         {n, n + 1, n > 0 ? n - 1 : 0, n * 2 + 3,
+          static_cast<std::size_t>(rng.next_below(2 * n + 20))}) {
+      expect_same_decode(good, claim);
+    }
+    // Truncated.
+    if (!good.empty()) {
+      const auto cut = std::span<const std::uint8_t>(good).first(
+          rng.next_below(good.size()));
+      expect_same_decode(cut, n);
+      expect_same_decode(cut, cut.size());
+    }
+    // Mutated: a few random bytes overwritten, sometimes with 0xff or 0x0f
+    // to reach the extended-length and offset branches.
+    auto bad = good;
+    for (int k = 0, flips = 1 + static_cast<int>(rng.next_below(4));
+         k < flips && !bad.empty(); ++k) {
+      const std::uint8_t pick[] = {static_cast<std::uint8_t>(rng.next()),
+                                   0xff, 0x0f, 0x00, 0xf0};
+      bad[rng.next_below(bad.size())] = pick[rng.next_below(5)];
+    }
+    expect_same_decode(bad, n);
+    expect_same_decode(bad, n + 16);
+    expect_same_decode(bad, static_cast<std::size_t>(rng.next_below(4 * n + 40)));
+  }
+}
+
+TEST(StackMix, KeystreamMatchesPerByteReference) {
+  const CryptConfig keys{0x0123456789abcdefull, 0xfedcba9876543210ull};
+  CryptLayer crypt(keys);
+  Rng rng(99);
+  std::vector<std::size_t> lens;
+  for (std::size_t n = 0; n <= 40; ++n) lens.push_back(n);
+  lens.push_back(1024);
+  lens.push_back(1031);
+  for (std::uint32_t nonce : {0u, 1u, 0x7fffu, 0xfffffu, 0xffffffffu}) {
+    for (std::size_t n : lens) {
+      const auto pt = noise(n, rng.next());
+      const auto want = ref::keystream_xor(keys, nonce, pt);
+      std::vector<std::uint8_t> got(n);
+      crypt.apply_keystream(nonce, pt, got.data());
+      ASSERT_EQ(got, want) << "nonce " << nonce << " n " << n;
+      auto inplace = pt;  // aliasing in and out
+      crypt.apply_keystream(nonce, inplace, inplace.data());
+      ASSERT_EQ(inplace, want);
+    }
+  }
+}
+
+// --- oversized length claims ------------------------------------------------
+
+// [0x01][varint 2^62][lz 0x10 0x78]: a compressed-part tag whose claimed
+// original length no 2-byte stream can produce. Sizing the inflate buffer
+// by the claim used to throw std::bad_alloc out of the deliver path.
+const std::vector<std::uint8_t> kOversizedClaim = {
+    0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 0x10, 0x78};
+
+TEST(StackMix, DecodePartRejectsUnproducibleLength) {
+  CompLayer comp(CompConfig{});
+  std::span<const std::uint8_t> res;
+  std::vector<std::uint8_t> scratch;
+  bool ok = true;
+  EXPECT_NO_THROW(ok = comp.decode_part(kOversizedClaim, res, scratch));
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(comp.stats().codec_errors, 1u);
+  EXPECT_EQ(comp.stats().msgs_inflated, 0u);
+  // The largest claim a 2-byte stream can meet is 510 bytes; one past it
+  // is refused, the stream's true length still decodes.
+  const std::vector<std::uint8_t> stream = {0x10, 0x78};
+  std::vector<std::uint8_t> out;
+  EXPECT_FALSE(CompLayer::lz_decompress(stream, 511, out));
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(CompLayer::lz_decompress(stream, 1, out));
+  EXPECT_EQ(out, std::vector<std::uint8_t>{0x78});
+}
+
+/// Hands one engine's frames to another: the sender's stack has no comp
+/// layer, so its payload bytes reach the receiver's decode_part verbatim,
+/// behind a valid header and checksum.
+class PipeEnv final : public Env {
+ public:
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::vector<std::vector<std::uint8_t>> delivered;
+  std::deque<std::function<void()>> deferred;
+
+  Vt now() const override { return 0; }
+  void charge(VtDur) override {}
+  void send_frame(std::vector<std::uint8_t> f) override {
+    frames.push_back(std::move(f));
+  }
+  void send_frame(WireFrame f) override { frames.push_back(f.flatten()); }
+  void deliver(std::span<const std::uint8_t> p) override {
+    delivered.emplace_back(p.begin(), p.end());
+  }
+  void defer(std::function<void()> fn) override {
+    deferred.push_back(std::move(fn));
+  }
+  void set_timer(VtDur, std::function<void()>) override {}
+  void trace(std::string_view) override {}
+  void on_alloc(std::size_t) override {}
+  void on_reception() override {}
+  void gc_point() override {}
+
+  void drain() {
+    while (!deferred.empty()) {
+      auto fn = std::move(deferred.front());
+      deferred.pop_front();
+      fn();
+    }
+  }
+};
+
+StackParams pipe_stack(bool comp, bool side_a) {
+  const Address a{{1, 2, 3, 4}};
+  const Address b{{5, 6, 7, 8}};
+  StackParams sp;
+  sp.with_comp = comp;
+  sp.bottom.local = side_a ? a : b;
+  sp.bottom.remote = side_a ? b : a;
+  return sp;
+}
+
+// Sends the oversized claim, then a stored part ([0x00]["ok"]), from a
+// comp-less sender into a comp receiver; the claim must be counted as a
+// codec drop and the connection must keep delivering.
+template <typename Sender, typename Receiver>
+void expect_oversized_claim_dropped(Sender& tx, PipeEnv& tx_env, Receiver& rx,
+                                    PipeEnv& rx_env) {
+  tx.send(kOversizedClaim);
+  tx_env.drain();
+  const std::vector<std::uint8_t> stored = {0x00, 'o', 'k'};
+  tx.send(stored);
+  tx_env.drain();
+  ASSERT_EQ(tx_env.frames.size(), 2u);
+  for (auto& f : tx_env.frames) {
+    EXPECT_NO_THROW(rx.on_frame(std::move(f), 0));
+    rx_env.drain();
+  }
+  EXPECT_EQ(rx.stats().drops[DropReason::kCompCodec], 1u);
+  EXPECT_EQ(rx.stats().malformed_drops, 1u);
+  ASSERT_EQ(rx_env.delivered.size(), 1u);
+  EXPECT_EQ(rx_env.delivered[0], (std::vector<std::uint8_t>{'o', 'k'}));
+}
+
+TEST(StackMix, PaDeliverCountsOversizedClaimAsCodecDrop) {
+  PipeEnv tx_env;
+  PipeEnv rx_env;
+  PaConfig ct;
+  ct.stack = pipe_stack(/*comp=*/false, /*side_a=*/true);
+  ct.cookie_seed = 1;
+  PaConfig cr;
+  cr.stack = pipe_stack(/*comp=*/true, /*side_a=*/false);
+  cr.cookie_seed = 2;
+  PaEngine tx(ct, tx_env);
+  PaEngine rx(cr, rx_env);
+  expect_oversized_claim_dropped(tx, tx_env, rx, rx_env);
+}
+
+TEST(StackMix, ClassicDeliverCountsOversizedClaimAsCodecDrop) {
+  PipeEnv tx_env;
+  PipeEnv rx_env;
+  ClassicConfig ct;
+  ct.stack = pipe_stack(/*comp=*/false, /*side_a=*/true);
+  ClassicConfig cr;
+  cr.stack = pipe_stack(/*comp=*/true, /*side_a=*/false);
+  ClassicEngine tx(ct, tx_env);
+  ClassicEngine rx(cr, rx_env);
+  expect_oversized_claim_dropped(tx, tx_env, rx, rx_env);
 }
 
 // --- AEAD end-to-end -------------------------------------------------------
