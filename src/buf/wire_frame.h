@@ -36,6 +36,8 @@ class WireFrame {
   static WireFrame copy_of(std::span<const std::uint8_t> bytes);
 
   void append(Slice s);
+  /// Make room for `n` slices, so appending them allocates once.
+  void reserve(std::size_t n) { slices_.reserve(n); }
 
   std::size_t size() const { return total_; }
   bool empty() const { return total_ == 0; }

@@ -6,7 +6,8 @@ class RealEndpoint::LoopEnv final : public Env {
  public:
   explicit LoopEnv(RealEndpoint& ep) : ep_(ep) {}
 
-  Vt now() const override { return ep_.loop_->now(); }
+  Vt now() const override { return ep_.loop_->dispatch_now(); }
+  bool timing() const override { return ep_.loop_->timing(); }
   void charge(VtDur) override {}  // real CPUs charge themselves
 
   void send_frame(std::vector<std::uint8_t> frame) override {

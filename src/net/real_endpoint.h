@@ -4,8 +4,15 @@
 // Under real time there is no cost model to charge (the CPU cost is the
 // actual CPU cost) and no simulated GC (C++ has none — which is itself an
 // interesting datum next to the paper's O'Caml pauses): charge() and the GC
-// hooks are no-ops; defer() runs after the current dispatch, which is
-// exactly "when the application is idle".
+// hooks are no-ops. now() is the loop's dispatch clock and timing() its
+// 1-in-16 dispatch sample (RealLoop::dispatch_now(), RealLoop::timing()).
+//
+// defer() queues on the loop, which runs deferred work after each receive
+// batch's handlers (and after each timer callback and idle hook) — and
+// *before* that round's send trains flush. So an echo parked in the send
+// train waits for the post-phases of its own delivery and send: the
+// reverse of the paper's §3.1 order, where the message leaves first. See
+// ROADMAP item 1 for the reorder.
 #pragma once
 
 #include <memory>
@@ -42,6 +49,8 @@ class RealEndpoint {
 
   Engine& engine() { return *engine_; }
   Router& router() { return router_; }
+  /// The engine's execution environment (the loop's clock and timers).
+  Env& env() { return *env_; }
   /// The loop socket index (e.g. to arm a fault injector on this side's
   /// send path via RealLoop::set_fault).
   int sock() const { return sock_; }

@@ -236,7 +236,7 @@ void RealLoop::send(int sock, const std::uint8_t* data, std::size_t len) {
   if (batch_cfg_.enabled && on_dispatch_thread()) {
     s.train.push_back(
         WireFrame::adopt(std::vector<std::uint8_t>(data, data + len)));
-    if (s.train.size() >= batch_cfg_.send_train) flush_train(s, sock);
+    if (s.train.size() >= batch_cfg_.send_train) flush_full_train(s, sock);
     return;
   }
   if (s.fault) {
@@ -290,7 +290,7 @@ void RealLoop::sendv(int sock, WireFrame frame) {
     // The train holds the frame's chunk references; the chunk contract
     // freezes the referenced bytes until the flush drops them.
     s.train.push_back(std::move(frame));
-    if (s.train.size() >= batch_cfg_.send_train) flush_train(s, sock);
+    if (s.train.size() >= batch_cfg_.send_train) flush_full_train(s, sock);
     return;
   }
   if (s.fault) {
@@ -381,7 +381,7 @@ bool RealLoop::flush_train(Socket& s, int sock) {
   bool kernel_ok = true;
   while (off < items.size()) {
     const std::size_t want = items.size() - off;
-    const Vt t0 = now();
+    const Vt t0 = clock_;
     int rc = backend().send_batch(s.fd, items.data() + off, want);
     if (rc < 0) {
       if (errno == ENOSYS) {
@@ -408,7 +408,7 @@ bool RealLoop::flush_train(Socket& s, int sock) {
     bc.tx_batches.inc();
     bc.tx_fill.record(static_cast<std::uint64_t>(rc));
     obs::span(obs::SpanKind::kNetBatch, t0,
-              static_cast<std::uint32_t>(now() - t0),
+              static_cast<std::uint32_t>(tick() - t0),
               static_cast<std::uint32_t>(rc));
     if (static_cast<std::size_t>(rc) < want) bc.tx_partial.inc();
     off += static_cast<std::size_t>(rc);
@@ -448,6 +448,13 @@ bool RealLoop::flush_train(Socket& s, int sock) {
     loop_counters().tx_backpressure.inc();
   }
   return kernel_ok;
+}
+
+void RealLoop::flush_full_train(Socket& s, int sock) {
+  // Mid-dispatch: the loop clock still reads the dispatch's start, so take
+  // a fresh start for the batch span.
+  tick();
+  flush_train(s, sock);
 }
 
 void RealLoop::flush_all_trains() {
@@ -504,7 +511,7 @@ Vt RealLoop::flush_held() {
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (held_.empty()) return -1;
-      if (held_.top().due > now()) return held_.top().due;
+      if (held_.top().due > clock_) return held_.top().due;
       h = held_.top();
       held_.pop();
     }
@@ -552,7 +559,7 @@ std::size_t RealLoop::drain_socket(std::size_t i,
 
   for (std::size_t round = 0; round < max_rounds; ++round) {
     prepare_rx_slots(batch);
-    const Vt t0 = now();
+    const Vt t0 = clock_;
     int rc = backend().recv_batch(s.fd, rx_slots_.data(), batch);
     if (rc < 0) {
       if (errno == ENOSYS) {
@@ -576,15 +583,15 @@ std::size_t RealLoop::drain_socket(std::size_t i,
     bc.rx_fill.record(got);
     loop_counters().rx.inc(got);
     ingested += got;
-    obs::span(obs::SpanKind::kNetBatch, t0,
-              static_cast<std::uint32_t>(now() - t0),
+    const Vt at = tick();
+    obs::span(obs::SpanKind::kNetBatch, t0, static_cast<std::uint32_t>(at - t0),
               static_cast<std::uint32_t>(got));
 
     // Hand the whole batch to the engine back-to-back: prediction stays
     // hot across the batch, and deferred post-processing (§3.1) piles up
     // and drains once below instead of once per datagram.
     if (s.handler) {
-      const Vt at = now();
+      begin_dispatch();
       for (std::size_t j = 0; j < got; ++j) {
         std::size_t len = rx_slots_[j].len;
         std::uint32_t copies = 1;
@@ -621,7 +628,7 @@ std::size_t RealLoop::drain_socket(std::size_t i,
             set_timer(v.delay, [this, si, bytes = std::move(bytes)]() mutable {
               Socket& ds = socks_[static_cast<std::size_t>(si)];
               if (ds.handler) {
-                ds.handler(WireFrame::adopt(std::move(bytes)), now());
+                ds.handler(WireFrame::adopt(std::move(bytes)), clock_);
               }
             });
             loop_counters().faults_injected.inc();
@@ -642,6 +649,7 @@ std::size_t RealLoop::drain_socket(std::size_t i,
         }
       }
       drain_deferred();
+      tick();
     }
 
     // Receive-drain saturation: consecutive full batches mean one wakeup
@@ -663,12 +671,12 @@ std::size_t RealLoop::drain_socket(std::size_t i,
 }
 
 bool RealLoop::run_loop(const std::function<bool()>& done, VtDur budget) {
-  const Vt deadline = now() + budget;
+  const Vt deadline = tick() + budget;
   std::vector<pollfd> pfds(socks_.size());
   auto& bc = net::batch_counters();
 
   while (!done()) {
-    if (now() >= deadline) return false;
+    if (clock_ >= deadline) return false;
 
     // Release fault-delayed datagrams that have come due.
     Vt next_held = flush_held();
@@ -680,12 +688,12 @@ bool RealLoop::run_loop(const std::function<bool()>& done, VtDur budget) {
       VtDur lag = 0;
       {
         std::lock_guard<std::mutex> lk(mu_);
-        if (timers_.empty() || timers_.top().at > now()) break;
+        if (timers_.empty() || timers_.top().at > clock_) break;
         const Timer& top = timers_.top();
         const bool cancelled = cancelled_timers_.erase(top.seq) > 0;
         if (!cancelled) {
           fn = top.fn;
-          lag = now() - top.at;
+          lag = clock_ - top.at;
           live_timers_.erase(top.seq);
         }
         timers_.pop();
@@ -693,12 +701,14 @@ bool RealLoop::run_loop(const std::function<bool()>& done, VtDur budget) {
       }
       loop_counters().wakeup_lag.record(lag);
       if (governor_) governor_->report_loop_lag(lag);
-      const Vt t0 = now();
+      const Vt t0 = clock_;
+      begin_dispatch();
       fn();
       loop_counters().timers.inc();
       obs::span(obs::SpanKind::kTimerFire, t0,
-                static_cast<std::uint32_t>(now() - t0));
+                static_cast<std::uint32_t>(tick() - t0));
       drain_deferred();
+      tick();
       if (done()) return true;
     }
 
@@ -710,7 +720,7 @@ bool RealLoop::run_loop(const std::function<bool()>& done, VtDur budget) {
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (!timers_.empty()) {
-        VtDur until = timers_.top().at - now();
+        VtDur until = timers_.top().at - clock_;
         timeout_ms = static_cast<int>(until / 1'000'000);
         if (timeout_ms < 0) timeout_ms = 0;
         if (timeout_ms > 10) timeout_ms = 10;
@@ -718,7 +728,7 @@ bool RealLoop::run_loop(const std::function<bool()>& done, VtDur budget) {
     }
     if (next_held >= 0) {
       // A held datagram may come due before the next timer: cap the sleep.
-      VtDur until = next_held - now();
+      VtDur until = next_held - clock_;
       int held_ms = static_cast<int>(until / 1'000'000);
       if (held_ms < 0) held_ms = 0;
       if (held_ms < timeout_ms) timeout_ms = held_ms;
@@ -735,6 +745,7 @@ bool RealLoop::run_loop(const std::function<bool()>& done, VtDur budget) {
     }
     int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
     bc.syscalls.inc();
+    tick();
     if (rc < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -742,8 +753,10 @@ bool RealLoop::run_loop(const std::function<bool()>& done, VtDur budget) {
     if (rc == 0) {
       // Idle: nothing to read, no timer due. Batched idle-flush point.
       loop_counters().idle.inc();
+      begin_dispatch();
       if (idle_hook_) idle_hook_();
       drain_deferred();
+      tick();
       flush_all_trains();
       continue;
     }

@@ -34,6 +34,15 @@
 // queued for the next flush. On kernels without recvmmsg/sendmmsg the loop
 // swaps in a per-datagram fallback backend with identical semantics.
 //
+// Loop clock: the loop reads the wall clock only at its own boundaries —
+// after poll(2) returns, after each recvmmsg/sendmmsg batch, after a timer
+// callback or a deferred drain — and everything inside a dispatch (deadline
+// and timer checks, the poll timeout, kNetBatch span endpoints, the
+// handler's `at`, the engines' Env::now()) uses that reading. Timers are
+// armed from a fresh read, so one armed from a stale loop clock fires late
+// by at most a dispatch, never early. The engines' phase timing runs on one
+// dispatch in kTimingEvery, which reads the clock fresh (timing()).
+//
 // Error handling (overload must degrade, never abort): EINTR is retried,
 // EAGAIN/ENOBUFS on an immediate send counts as backpressure (the datagram
 // is shed — UDP semantics — and retransmission recovers); a train hitting
@@ -141,8 +150,24 @@ class RealLoop {
 
   void on_frame(int sock, FrameHandler handler);
 
-  /// Nanoseconds since the loop was created (steady clock).
+  /// Nanoseconds since the loop was created (steady clock): a fresh read on
+  /// every call, so applications can time latency with it.
   Vt now() const;
+
+  /// The engines' clock (Env::now() of a RealEndpoint). On the dispatch
+  /// thread this is the loop clock: one reading the loop takes at its own
+  /// boundaries (after poll(2) returns, after each recvmmsg/sendmmsg batch,
+  /// after a timer callback or a deferred drain) and that everything inside
+  /// a dispatch shares — libuv's uv_now rule. In a timed dispatch (see
+  /// timing()) and on every other thread it is a fresh read.
+  Vt dispatch_now() const {
+    return on_dispatch_thread() && !timing_ ? clock_ : now();
+  }
+
+  /// Whether the current dispatch records phase timing. One dispatch in
+  /// kTimingEvery is timed; off the dispatch thread, timing is always on.
+  bool timing() const { return !on_dispatch_thread() || timing_; }
+  static constexpr std::uint32_t kTimingEvery = 16;
 
   /// Arm a timer; returns an id usable with cancel_timer(). Callers that
   /// never cancel may ignore it.
@@ -201,6 +226,11 @@ class RealLoop {
   };
 
   void drain_deferred();
+  /// Refresh the loop clock from the wall clock (dispatch thread only).
+  Vt tick() { return clock_ = now(); }
+  /// Start a dispatch (a receive batch's handlers, a timer callback, the
+  /// idle hook, each with its deferred drain): pick whether it is timed.
+  void begin_dispatch() { timing_ = ++dispatches_ % kTimingEvery == 0; }
   void raw_send(const Socket& s, const std::uint8_t* data, std::size_t len);
   /// Fault-injected send path: judge, mutate a private copy, hold or send.
   void faulted_send(int sock, std::vector<std::uint8_t> bytes);
@@ -229,6 +259,8 @@ class RealLoop {
   /// Flush one socket's send train (judging faults per datagram); leaves
   /// unaccepted datagrams queued. Returns false if the kernel pushed back.
   bool flush_train(Socket& s, int sock);
+  /// A train filled inside a dispatch: flush it now.
+  void flush_full_train(Socket& s, int sock);
   void flush_all_trains();
   std::size_t queued_train_depth() const;
   bool run_loop(const std::function<bool()>& done, VtDur budget);
@@ -259,6 +291,10 @@ class RealLoop {
   std::uint64_t timer_seq_ = 0;
   std::uint64_t held_seq_ = 0;
   Vt t0_ = 0;
+  // Loop clock and dispatch sampling (dispatch-thread only).
+  Vt clock_ = 0;
+  std::uint32_t dispatches_ = 0;
+  bool timing_ = true;
 };
 
 }  // namespace pa

@@ -15,7 +15,10 @@ namespace {
 // on span events keeps engines distinguishable where it matters). Durations
 // are on the engine's Env clock — virtual ns under the simulator (i.e. the
 // modeled critical-path cost, directly comparable to the paper's tables),
-// wall ns under the real-time loop.
+// wall ns under the real-time loop. They are recorded, with their spans and
+// the kFilterRecv span, only in dispatches the Env times (Env::timing()):
+// every one under the simulator, one in RealLoop::kTimingEvery on the real
+// loop, whose engine clock is otherwise the loop clock and free to read.
 struct PhaseHists {
   obs::LatencyHistogram& send_fast;
   obs::LatencyHistogram& send_slow;
@@ -49,6 +52,15 @@ std::uint32_t clamp_dur(std::int64_t d) {
   if (d < 0) return 0;
   if (d > 0xffffffff) return 0xffffffffu;
   return static_cast<std::uint32_t>(d);
+}
+
+// Close a timed phase that started at t0: one histogram sample, one span.
+void record_phase(const Env& env, obs::LatencyHistogram& hist,
+                  obs::SpanKind kind, Vt t0, std::uint32_t arg,
+                  std::uint16_t owner) {
+  const Vt t1 = env.now();
+  hist.record(static_cast<std::uint64_t>(t1 - t0));
+  obs::span(kind, t0, clamp_dur(t1 - t0), arg, owner);
 }
 
 }  // namespace
@@ -434,6 +446,7 @@ void PaEngine::start_send(Message m, std::uint64_t pk_count,
 
   const bool try_fast = !m.cb.is_frag && !m.cb.protocol &&
                         disable_send_ == 0 && !cfg_.disable_prediction;
+  const bool timed = env_.timing();
   bool encoded = false;  // frame codecs (AEAD) applied exactly once per frame
   if (try_fast) {
     // Predicted protocol-specific + gossip headers (paper §3.2), then the
@@ -458,10 +471,10 @@ void PaEngine::start_send(Message m, std::uint64_t pk_count,
       transmit(m, false);
       const std::uint32_t len = static_cast<std::uint32_t>(m.payload_len());
       queue_post_send(std::move(m));
-      const Vt t1 = env_.now();
-      phase_hists().send_fast.record(static_cast<std::uint64_t>(t1 - t0));
-      obs::span(obs::SpanKind::kSendFast, t0, clamp_dur(t1 - t0), len,
-                obs_id_);
+      if (timed) {
+        record_phase(env_, phase_hists().send_fast, obs::SpanKind::kSendFast,
+                     t0, len, obs_id_);
+      }
       return;
     }
     // Send filter rejected the predicted frame — an unusual reroute worth a
@@ -501,9 +514,10 @@ void PaEngine::start_send(Message m, std::uint64_t pk_count,
   transmit(m, m.cb.retransmit);
   const std::uint32_t len = static_cast<std::uint32_t>(m.payload_len());
   queue_post_send(std::move(m));
-  const Vt t1 = env_.now();
-  phase_hists().send_slow.record(static_cast<std::uint64_t>(t1 - t0));
-  obs::span(obs::SpanKind::kSendSlow, t0, clamp_dur(t1 - t0), len, obs_id_);
+  if (timed) {
+    record_phase(env_, phase_hists().send_slow, obs::SpanKind::kSendSlow, t0,
+                 len, obs_id_);
+  }
 }
 
 void PaEngine::transmit(Message& m, bool unusual) {
@@ -638,6 +652,7 @@ void PaEngine::adopt_parked() {
 void PaEngine::run_posts() {
   post_scheduled_ = false;
 
+  const bool timed = env_.timing();
   const Vt ts0 = env_.now();
   const bool had_sends = !pending_post_send_.empty();
   const std::uint32_t n_sends =
@@ -658,10 +673,10 @@ void PaEngine::run_posts() {
     rebuild_send_prediction();
     env_.trace("POSTSEND DONE");
     send_busy_ = false;
-    const Vt ts1 = env_.now();
-    phase_hists().post_send.record(static_cast<std::uint64_t>(ts1 - ts0));
-    obs::span(obs::SpanKind::kPostSend, ts0, clamp_dur(ts1 - ts0), n_sends,
-              obs_id_);
+    if (timed) {
+      record_phase(env_, phase_hists().post_send, obs::SpanKind::kPostSend,
+                   ts0, n_sends, obs_id_);
+    }
   }
 
   const Vt td0 = env_.now();
@@ -690,10 +705,10 @@ void PaEngine::run_posts() {
     rebuild_send_prediction();
     env_.trace("POSTDELIVER DONE");
     deliver_busy_ = false;
-    const Vt td1 = env_.now();
-    phase_hists().post_deliver.record(static_cast<std::uint64_t>(td1 - td0));
-    obs::span(obs::SpanKind::kPostDeliver, td0, clamp_dur(td1 - td0),
-              n_delivers, obs_id_);
+    if (timed) {
+      record_phase(env_, phase_hists().post_deliver,
+                   obs::SpanKind::kPostDeliver, td0, n_delivers, obs_id_);
+    }
   }
 
   env_.gc_point();
@@ -820,6 +835,7 @@ void PaEngine::accept_frame(WireFrame frame) {
 }
 
 void PaEngine::process_frame(WireFrame frame) {
+  const bool timed = env_.timing();
   const Vt t0 = env_.now();
   // Peek the preamble before adopting the frame: its bytes live in the
   // frame's chunks, which the message below keeps alive. The frame is
@@ -863,8 +879,10 @@ void PaEngine::process_frame(WireFrame frame) {
       cfg_.use_compiled_filters
           ? (p->byte_order == Endian::kBig ? crecv_be_ : crecv_le_).run(v, m)
           : run_filter(stack_.recv_prog(), v, m);
-  obs::span(obs::SpanKind::kFilterRecv, t0, 0,
-            static_cast<std::uint32_t>(rc != 0), obs_id_);
+  if (timed) {
+    obs::span(obs::SpanKind::kFilterRecv, t0, 0,
+              static_cast<std::uint32_t>(rc != 0), obs_id_);
+  }
   if (rc == 0) {
     ++stats_.filter_drops;
     stats_.drops.bump(DropReason::kChecksumFilter);
@@ -888,10 +906,11 @@ void PaEngine::process_frame(WireFrame frame) {
     ++stats_.fast_delivers;
     env_.trace("DELIVER");
     deliver_to_app(m, true);
-    const Vt t1 = env_.now();
-    phase_hists().deliver_fast.record(static_cast<std::uint64_t>(t1 - t0));
-    obs::span(obs::SpanKind::kDeliverFast, t0, clamp_dur(t1 - t0),
-              static_cast<std::uint32_t>(m.payload_len()), obs_id_);
+    if (timed) {
+      record_phase(env_, phase_hists().deliver_fast,
+                   obs::SpanKind::kDeliverFast, t0,
+                   static_cast<std::uint32_t>(m.payload_len()), obs_id_);
+    }
     deliver_busy_ = true;
     pending_post_deliver_.push_back(
         PendingDeliver{std::move(m), 0, DeliverVerdict::kDeliver});
@@ -927,11 +946,12 @@ void PaEngine::process_frame(WireFrame frame) {
     env_.trace("DELIVER(slow)");
     deliver_to_app(m, true);
   }
-  const Vt t1 = env_.now();
-  phase_hists().deliver_slow.record(static_cast<std::uint64_t>(t1 - t0));
-  obs::span(obs::SpanKind::kDeliverSlow, t0, clamp_dur(t1 - t0),
-            static_cast<std::uint32_t>(verdict == DeliverVerdict::kDeliver),
-            obs_id_);
+  if (timed) {
+    const bool delivered = verdict == DeliverVerdict::kDeliver;
+    record_phase(env_, phase_hists().deliver_slow,
+                 obs::SpanKind::kDeliverSlow, t0, delivered ? 1u : 0u,
+                 obs_id_);
+  }
   deliver_busy_ = true;
   pending_post_deliver_.push_back(PendingDeliver{std::move(m), stop, verdict});
   schedule_post();
@@ -1165,8 +1185,10 @@ void PaEngine::timer_fire(std::size_t layer,
   rebuild_send_prediction();
   rebuild_deliver_prediction();
   flush_backlog();
-  obs::span(obs::SpanKind::kTimerFire, t0, clamp_dur(env_.now() - t0),
-            static_cast<std::uint32_t>(layer), obs_id_);
+  if (env_.timing()) {
+    obs::span(obs::SpanKind::kTimerFire, t0, clamp_dur(env_.now() - t0),
+              static_cast<std::uint32_t>(layer), obs_id_);
+  }
 }
 
 void PaEngine::set_layer_timer(std::size_t layer, VtDur delay,

@@ -7,7 +7,9 @@
 #include <atomic>
 #include <thread>
 
+#include "horus/world.h"
 #include "net/real_endpoint.h"
+#include "obs/metrics.h"
 #include "rt/executor.h"
 
 namespace pa {
@@ -574,6 +576,138 @@ TEST(RealUdp, GarbageDatagramsAreDropped) {
                 p.b.router().stats().dropped_no_match +
                 p.b.router().stats().dropped_malformed,
             0u);
+}
+
+// ---------------------------------------------------------------------------
+// Loop clock and sampled phase timing.
+// ---------------------------------------------------------------------------
+
+// Samples in a histogram's 0-ns bucket.
+std::uint64_t zero_samples(const obs::LatencyHistogram& h) {
+  for (const auto& [floor, n] : h.snapshot().nonzero) {
+    if (floor == 0) return n;
+  }
+  return 0;
+}
+
+TEST(RealUdp, PhaseTimingIsSampledOneDispatchInSixteen) {
+  REQUIRE_SOCKETS();
+  Pair p;
+  int done = 0;
+  std::vector<std::uint8_t> ping(8, 7);
+  p.b.on_deliver([&](std::span<const std::uint8_t> d) { p.b.send(d); });
+  p.a.on_deliver([&](std::span<const std::uint8_t>) {
+    ++done;
+    p.a.send(ping);
+  });
+  // The first send runs outside run_until, so it is timed and registers the
+  // phase histograms.
+  p.a.send(ping);
+  ASSERT_TRUE(p.loop.run_until([&] { return done >= 50; }, vt_s(10)));
+
+  obs::LatencyHistogram& send_fast = obs::registry().histogram(
+      "pa_send_fast_ns", "", "ns");
+  obs::LatencyHistogram& deliver_fast = obs::registry().histogram(
+      "pa_deliver_fast_ns", "", "ns");
+  auto fast_sends = [&] {
+    return p.a.engine().stats().fast_sends + p.b.engine().stats().fast_sends;
+  };
+  auto fast_delivers = [&] {
+    return p.a.engine().stats().fast_delivers +
+           p.b.engine().stats().fast_delivers;
+  };
+  const std::uint64_t sends0 = fast_sends();
+  const std::uint64_t delivers0 = fast_delivers();
+  const std::uint64_t send_samples0 = send_fast.count();
+  const std::uint64_t deliver_samples0 = deliver_fast.count();
+  const std::uint64_t send_zero0 = zero_samples(send_fast);
+  const std::uint64_t deliver_zero0 = zero_samples(deliver_fast);
+
+  constexpr int kRoundTrips = 1600;
+  ASSERT_TRUE(p.loop.run_until([&] { return done >= 50 + kRoundTrips; },
+                               vt_s(20)));
+  const std::uint64_t sends = fast_sends() - sends0;
+  const std::uint64_t delivers = fast_delivers() - delivers0;
+  const std::uint64_t send_samples = send_fast.count() - send_samples0;
+  const std::uint64_t deliver_samples =
+      deliver_fast.count() - deliver_samples0;
+  // Each dispatch carries one fast delivery and the echo's fast send, so
+  // about one in 16 of each is timed. The bounds are 2x either way: the
+  // exact share moves only with timer and idle dispatches.
+  ASSERT_GE(sends, 2u * kRoundTrips - 2);
+  ASSERT_GE(delivers, 2u * kRoundTrips - 2);
+  EXPECT_GE(send_samples, sends / 32);
+  EXPECT_LE(send_samples, sends / 8);
+  EXPECT_GE(deliver_samples, delivers / 32);
+  EXPECT_LE(deliver_samples, delivers / 8);
+  // A timed dispatch reads the clock fresh: every duration is real.
+  EXPECT_EQ(zero_samples(send_fast), send_zero0);
+  EXPECT_EQ(zero_samples(deliver_fast), deliver_zero0);
+}
+
+TEST(World, SimulatorTimesEveryFastSend) {
+  // The virtual clock is free: the simulator's Env times every dispatch.
+  World world;
+  Node& a = world.add_node("a");
+  Node& b = world.add_node("b");
+  auto [src, dst] = world.connect(a, b, ConnOptions{});
+  int delivered = 0;
+  dst->on_deliver([&](std::span<const std::uint8_t>) { ++delivered; });
+  src->send(std::vector<std::uint8_t>{1, 2, 3});
+  world.run();  // registers the histogram
+  obs::LatencyHistogram& send_fast = obs::registry().histogram(
+      "pa_send_fast_ns", "", "ns");
+  const std::uint64_t samples0 = send_fast.count();
+  const std::uint64_t sends0 = src->engine().stats().fast_sends +
+                               dst->engine().stats().fast_sends;
+  for (int i = 0; i < 200; ++i) {
+    src->send(std::vector<std::uint8_t>{1, 2, 3});
+    world.run();
+  }
+  EXPECT_EQ(delivered, 201);
+  const std::uint64_t sends = src->engine().stats().fast_sends +
+                              dst->engine().stats().fast_sends - sends0;
+  EXPECT_GT(sends, 150u);
+  EXPECT_EQ(send_fast.count() - samples0, sends);
+}
+
+TEST(RealUdp, TimerArmedFromLoopClockNeverFiresEarly) {
+  REQUIRE_SOCKETS();
+  Pair p;
+  Env& env = p.b.env();
+  constexpr VtDur kDelay = vt_us(300);
+  struct Fire {
+    Vt deadline;
+    Vt fired_at;
+  };
+  std::vector<Fire> fires;
+  int armed = 0;
+  int done = 0;
+  std::vector<std::uint8_t> ping(8, 7);
+  p.b.on_deliver([&](std::span<const std::uint8_t> d) {
+    // The deadline is taken on the engine clock when the handler starts.
+    // Then the handler works on (the loop clock goes stale), and the delay
+    // is computed from the engine clock as a layer computes it.
+    const Vt deadline = env.now() + kDelay;
+    const Vt spin_until = p.loop.now() + vt_us(30);
+    while (p.loop.now() < spin_until) {
+    }
+    ++armed;
+    env.set_timer(deadline - env.now(), [&, deadline] {
+      fires.push_back(Fire{deadline, p.loop.now()});
+    });
+    p.b.send(d);
+  });
+  p.a.on_deliver([&](std::span<const std::uint8_t>) {
+    if (++done < 200) p.a.send(ping);
+  });
+  p.a.send(ping);
+  ASSERT_TRUE(p.loop.run_until(
+      [&] { return done >= 200 && fires.size() == 200; }, vt_s(20)));
+  EXPECT_EQ(armed, 200);
+  for (const Fire& f : fires) {
+    EXPECT_GE(f.fired_at, f.deadline);
+  }
 }
 
 }  // namespace
