@@ -228,6 +228,18 @@ if [ -z "$hit" ] || ! awk "BEGIN { exit !($hit >= 0.90) }"; then
   status=1
 fi
 
+echo "==== wall-clock benchmark smoke test ========================="
+# perfbench/ drives the real UDP loop on every workload and checks each
+# message's content and order, so a src/net change is exercised end to end
+# here. Skipped where the sandbox has no UDP sockets.
+if python3 -c 'import socket
+socket.socket(socket.AF_INET, socket.SOCK_DGRAM).bind(("127.0.0.1", 0))' \
+    2>/dev/null; then
+  python3 perfbench/smoke_test.py --seconds 1 || status=1
+else
+  echo "no UDP sockets in this sandbox; skipping"
+fi
+
 echo "==== examples ================================================="
 for e in quickstart rpc_server file_transfer latency_tour chat_room \
          udp_pingpong secure_chat relay; do

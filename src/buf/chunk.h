@@ -22,6 +22,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <new>
 #include <span>
 #include <utility>
 #include <vector>
@@ -61,20 +63,19 @@ class Chunk;
 void chunk_ref(Chunk* c) noexcept;
 void chunk_unref(Chunk* c) noexcept;
 
-/// One refcounted byte array. Created with refcount 1 (the creating
-/// ChunkRef); heap-allocated and deleted when the last reference drops.
+/// One refcounted byte array: a header followed by the bytes, in one heap
+/// allocation (Chunk::create). Created with refcount 1 (the creating
+/// ChunkRef) and destroyed when the last reference drops. The one exception
+/// to the inline layout is an adopted vector (Chunk::adopt, the frame-codec
+/// seam): its storage is kept as is, so that chunk is two allocations.
 class Chunk {
  public:
-  explicit Chunk(std::size_t size) : data(size) {
-    buf_stats().chunks_allocated.fetch_add(1, std::memory_order_relaxed);
-  }
-  explicit Chunk(std::vector<std::uint8_t> bytes) : data(std::move(bytes)) {
-    buf_stats().chunks_allocated.fetch_add(1, std::memory_order_relaxed);
-  }
   Chunk(const Chunk&) = delete;
   Chunk& operator=(const Chunk&) = delete;
 
-  std::vector<std::uint8_t> data;
+  std::uint8_t* bytes() noexcept { return bytes_; }
+  const std::uint8_t* bytes() const noexcept { return bytes_; }
+  std::size_t size() const noexcept { return size_; }
 
   std::uint32_t refs() const noexcept {
     return refs_.load(std::memory_order_acquire);
@@ -82,9 +83,38 @@ class Chunk {
   bool unique() const noexcept { return refs() == 1; }
 
  private:
+  friend class ChunkRef;
   friend void chunk_ref(Chunk*) noexcept;
   friend void chunk_unref(Chunk*) noexcept;
+
+  Chunk(std::uint8_t* bytes, std::size_t size) : size_(size), bytes_(bytes) {
+    buf_stats().chunks_allocated.fetch_add(1, std::memory_order_relaxed);
+  }
+  explicit Chunk(std::vector<std::uint8_t>&& v)
+      : size_(v.size()), adopted_(std::move(v)) {
+    bytes_ = adopted_.data();
+    buf_stats().chunks_allocated.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// One allocation holding the header and `size` uninitialised bytes.
+  static Chunk* create(std::size_t size) {
+    void* mem = ::operator new(sizeof(Chunk) + size);
+    auto* inline_bytes = static_cast<std::uint8_t*>(mem) + sizeof(Chunk);
+    return new (mem) Chunk(inline_bytes, size);
+  }
+  static Chunk* adopt(std::vector<std::uint8_t>&& v) {
+    void* mem = ::operator new(sizeof(Chunk));
+    return new (mem) Chunk(std::move(v));
+  }
+  static void destroy(Chunk* c) noexcept {
+    c->~Chunk();
+    ::operator delete(static_cast<void*>(c));
+  }
+
   std::atomic<std::uint32_t> refs_{1};
+  std::size_t size_ = 0;
+  std::uint8_t* bytes_ = nullptr;
+  std::vector<std::uint8_t> adopted_;  // empty unless made by adopt()
 };
 
 inline void chunk_ref(Chunk* c) noexcept {
@@ -92,7 +122,9 @@ inline void chunk_ref(Chunk* c) noexcept {
 }
 
 inline void chunk_unref(Chunk* c) noexcept {
-  if (c->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) delete c;
+  if (c->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    Chunk::destroy(c);
+  }
 }
 
 /// Intrusive smart pointer over Chunk.
@@ -123,9 +155,21 @@ class ChunkRef {
     if (c_ != nullptr) chunk_unref(c_);
   }
 
-  static ChunkRef make(std::size_t size) { return ChunkRef(new Chunk(size)); }
+  /// A chunk of `size` zero bytes (header chunks, whose headroom may be
+  /// pushed without every byte being written).
+  static ChunkRef make(std::size_t size) {
+    ChunkRef c = make_uninit(size);
+    if (size > 0) std::memset(c->bytes(), 0, size);
+    return c;
+  }
+  /// A chunk of `size` uninitialised bytes, for storage the caller fills
+  /// completely before anyone reads it (memcpy copies, kernel receives).
+  static ChunkRef make_uninit(std::size_t size) {
+    return ChunkRef(Chunk::create(size));
+  }
+  /// Take over the vector's storage as the chunk's bytes (zero-copy).
   static ChunkRef adopt_vector(std::vector<std::uint8_t> bytes) {
-    return ChunkRef(new Chunk(std::move(bytes)));
+    return ChunkRef(Chunk::adopt(std::move(bytes)));
   }
 
   Chunk* get() const noexcept { return c_; }
@@ -149,7 +193,7 @@ struct Slice {
   std::size_t len = 0;
 
   std::span<const std::uint8_t> span() const {
-    return {chunk->data.data() + off, len};
+    return {chunk->bytes() + off, len};
   }
 };
 

@@ -22,7 +22,7 @@ Message::Message(std::size_t headroom)
       hdr_acct_(headroom) {}
 
 Message::Message(FromPool, ChunkRef head) : head_(std::move(head)) {
-  hstart_ = hend_ = hdr_acct_ = head_ ? head_->data.size() : 0;
+  hstart_ = hend_ = hdr_acct_ = head_ ? head_->size() : 0;
 }
 
 Message Message::with_payload(std::span<const std::uint8_t> payload,
@@ -56,8 +56,8 @@ Message Message::from_wire(std::span<const std::uint8_t> frame) {
   Message m(FromPool{}, ChunkRef());
   if (!frame.empty()) {
     note_ingest(frame.size());
-    ChunkRef c = ChunkRef::make(frame.size());
-    std::memcpy(c->data.data(), frame.data(), frame.size());
+    ChunkRef c = ChunkRef::make_uninit(frame.size());
+    std::memcpy(c->bytes(), frame.data(), frame.size());
     m.plen_ = frame.size();
     m.chain_.push_back(Slice{std::move(c), 0, m.plen_});
   }
@@ -83,7 +83,7 @@ Message Message::clone() const {
     // counters track payload copies.
     assert(hdr_acct_ >= hl);
     m.hstart_ = hdr_acct_ - hl;
-    std::memcpy(m.head_->data.data() + m.hstart_, front(), hl);
+    std::memcpy(m.head_->bytes() + m.hstart_, front(), hl);
   }
   m.chain_ = chain_;
   m.plen_ = plen_;
@@ -111,7 +111,7 @@ std::uint8_t* Message::push(std::size_t n) {
     // private chunk before the first prepend.
     const std::size_t size = std::max({hdr_acct_, hl + n, kDefaultHeadroom});
     ChunkRef priv = ChunkRef::make(size);
-    if (hl > 0) std::memcpy(priv->data.data() + size - hl, front(), hl);
+    if (hl > 0) std::memcpy(priv->bytes() + size - hl, front(), hl);
     head_ = std::move(priv);
     hstart_ = size - hl;
     hend_ = size;
@@ -123,10 +123,10 @@ std::uint8_t* Message::push(std::size_t n) {
     // Headroom exhausted: regrow geometrically so a stack that repeatedly
     // outgrows its headroom amortises to O(1) copies per byte. Only the
     // (small) header region is copied — the payload chain never moves.
-    const std::size_t old = head_->data.size();
+    const std::size_t old = head_->size();
     const std::size_t size = std::max({old * 2, hl + n, kDefaultHeadroom});
     ChunkRef bigger = ChunkRef::make(size);
-    if (hl > 0) std::memcpy(bigger->data.data() + size - hl, front(), hl);
+    if (hl > 0) std::memcpy(bigger->bytes() + size - hl, front(), hl);
     head_ = std::move(bigger);
     hstart_ = size - hl;
     hend_ = size;
@@ -168,8 +168,8 @@ void Message::set_header_len(std::size_t n) {
 void Message::append_payload(std::span<const std::uint8_t> data) {
   if (data.empty()) return;
   note_ingest(data.size());
-  ChunkRef c = ChunkRef::make(data.size());
-  std::memcpy(c->data.data(), data.data(), data.size());
+  ChunkRef c = ChunkRef::make_uninit(data.size());
+  std::memcpy(c->bytes(), data.data(), data.size());
   plen_ += data.size();
   chain_.push_back(Slice{std::move(c), 0, data.size()});
 }
@@ -212,10 +212,10 @@ std::span<const std::uint8_t> Message::payload() const {
 
 void Message::coalesce_payload() const {
   if (chain_.size() <= 1) return;
-  ChunkRef c = ChunkRef::make(plen_);
+  ChunkRef c = ChunkRef::make_uninit(plen_);
   std::size_t at = 0;
   for (const Slice& s : chain_) {
-    std::memcpy(c->data.data() + at, s.chunk->data.data() + s.off, s.len);
+    std::memcpy(c->bytes() + at, s.chunk->bytes() + s.off, s.len);
     at += s.len;
   }
   buf_stats().memcpy_count.fetch_add(1, std::memory_order_relaxed);

@@ -132,10 +132,10 @@ class Message {
   std::size_t headroom() const { return head_owned_ ? hstart_ : 0; }
 
   std::uint8_t* front() {
-    return head_ ? head_->data.data() + hstart_ : nullptr;
+    return head_ ? head_->bytes() + hstart_ : nullptr;
   }
   const std::uint8_t* front() const {
-    return head_ ? head_->data.data() + hstart_ : nullptr;
+    return head_ ? head_->bytes() + hstart_ : nullptr;
   }
 
   /// Contiguous payload bytes. A single-slice chain (every steady-state

@@ -22,7 +22,13 @@ WireFrame WireFrame::adopt(std::vector<std::uint8_t> bytes) {
 WireFrame WireFrame::copy_of(std::span<const std::uint8_t> bytes) {
   buf_stats().ingest_copies.fetch_add(1, std::memory_order_relaxed);
   buf_stats().ingest_bytes.fetch_add(bytes.size(), std::memory_order_relaxed);
-  return adopt(std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+  WireFrame f;
+  if (!bytes.empty()) {
+    ChunkRef c = ChunkRef::make_uninit(bytes.size());
+    std::memcpy(c->bytes(), bytes.data(), bytes.size());
+    f.append(Slice{std::move(c), 0, bytes.size()});
+  }
+  return f;
 }
 
 void WireFrame::append(Slice s) {
@@ -64,8 +70,8 @@ std::vector<std::uint8_t> WireFrame::flatten() const {
 WireFrame WireFrame::deep_copy() const {
   WireFrame out;
   for (const Slice& s : slices_) {
-    ChunkRef c = ChunkRef::make(s.len);
-    std::memcpy(c->data.data(), s.chunk->data.data() + s.off, s.len);
+    ChunkRef c = ChunkRef::make_uninit(s.len);
+    std::memcpy(c->bytes(), s.chunk->bytes() + s.off, s.len);
     out.append(Slice{std::move(c), 0, s.len});
   }
   buf_stats().memcpy_count.fetch_add(1, std::memory_order_relaxed);
@@ -95,15 +101,15 @@ std::uint8_t* WireFrame::mutable_byte(std::size_t i) {
   for (Slice& s : slices_) {
     if (off < s.len) {
       if (!s.chunk->unique()) {
-        ChunkRef priv = ChunkRef::make(s.len);
-        std::memcpy(priv->data.data(), s.chunk->data.data() + s.off, s.len);
+        ChunkRef priv = ChunkRef::make_uninit(s.len);
+        std::memcpy(priv->bytes(), s.chunk->bytes() + s.off, s.len);
         buf_stats().cow_copies.fetch_add(1, std::memory_order_relaxed);
         buf_stats().memcpy_count.fetch_add(1, std::memory_order_relaxed);
         buf_stats().memcpy_bytes.fetch_add(s.len, std::memory_order_relaxed);
         s.chunk = std::move(priv);
         s.off = 0;
       }
-      return s.chunk->data.data() + s.off + off;
+      return s.chunk->bytes() + s.off + off;
     }
     off -= s.len;
   }

@@ -25,16 +25,19 @@ class Env {
   /// virtual instant. Under the real-time loop it is the loop's dispatch
   /// clock (RealLoop::dispatch_now()): on the dispatch thread, one reading
   /// taken at the loop's last boundary and shared by everything in the
-  /// dispatch — so two calls in one dispatch may return the same value —
-  /// except in a timed dispatch (timing()), where every call reads the wall
-  /// clock fresh; on any other thread, always a fresh read.
+  /// dispatch, so two calls in one dispatch may return the same value; on
+  /// any other thread, a fresh read.
   virtual Vt now() const = 0;
 
   /// Whether the current dispatch records phase timing (histograms and
-  /// their spans). When this is true, now() is fresh on every call, so a
-  /// difference of two readings is a real duration. The simulator's clock
-  /// is free, so by default every dispatch is timed.
+  /// their spans). The simulator's clock is free, so by default every
+  /// dispatch is timed.
   virtual bool timing() const { return true; }
+
+  /// The phase timers' clock, read only in a timed dispatch: a difference
+  /// of two readings is a real duration. The simulator's virtual clock by
+  /// default; a fresh wall-clock read under the real-time loop.
+  virtual Vt phase_now() const { return now(); }
 
   /// Consume CPU time (virtual cost model charge).
   virtual void charge(VtDur d) = 0;

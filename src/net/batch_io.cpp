@@ -1,7 +1,6 @@
 #include "net/batch_io.h"
 
 #include <cerrno>
-#include <cstring>
 #include <vector>
 
 namespace pa::net {
@@ -72,8 +71,8 @@ class FallbackBackend final : public BatchIoBackend {
     while (sent < n) {
       const TxDatagram& d = items[sent];
       msghdr mh{};
-      mh.msg_name = const_cast<sockaddr_in*>(&d.dst);
-      mh.msg_namelen = sizeof(d.dst);
+      mh.msg_name = const_cast<sockaddr_in*>(d.dst);
+      mh.msg_namelen = d.dst != nullptr ? sizeof(*d.dst) : 0;
       mh.msg_iov = const_cast<iovec*>(d.iov);
       mh.msg_iovlen = d.iovlen;
       ssize_t rc;
@@ -93,58 +92,64 @@ class FallbackBackend final : public BatchIoBackend {
 
 #ifdef __linux__
 
-// recvmmsg/sendmmsg: the whole batch is one kernel crossing. Scratch
-// arrays live in the backend (single-threaded use from the loop's
-// dispatch thread, like the loop itself).
+// recvmmsg/sendmmsg: the whole batch is one kernel crossing. Header
+// arrays live in the backend (single-threaded use from the loop's dispatch
+// thread, like the loop itself), one set per direction. The receive set is
+// built once: the kernel only writes msg_len and msg_flags back, so an
+// entry is rewritten only when its slot's buffer changes. Send entries
+// rewrite just their address and gather list; the control fields stay
+// zero from the value-initialising resize.
 class MmsgBackend final : public BatchIoBackend {
  public:
   const char* name() const override { return "mmsg"; }
 
   int recv_batch(int fd, RxSlot* slots, std::size_t n) override {
-    ensure(n);
+    if (rx_msgs_.size() < n) {
+      rx_msgs_.resize(n);
+      rx_iovs_.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        rx_msgs_[i].msg_hdr.msg_iov = &rx_iovs_[i];
+        rx_msgs_[i].msg_hdr.msg_iovlen = 1;
+      }
+    }
     for (std::size_t i = 0; i < n; ++i) {
-      iovs_[i] = {slots[i].data, slots[i].cap};
-      std::memset(&msgs_[i], 0, sizeof(msgs_[i]));
-      msgs_[i].msg_hdr.msg_iov = &iovs_[i];
-      msgs_[i].msg_hdr.msg_iovlen = 1;
+      iovec& iov = rx_iovs_[i];
+      if (iov.iov_base != slots[i].data || iov.iov_len != slots[i].cap) {
+        iov = {slots[i].data, slots[i].cap};
+      }
     }
     int rc;
     do {
-      rc = ::recvmmsg(fd, msgs_.data(), static_cast<unsigned>(n),
+      rc = ::recvmmsg(fd, rx_msgs_.data(), static_cast<unsigned>(n),
                       MSG_DONTWAIT, nullptr);
     } while (rc < 0 && errno == EINTR);
     batch_counters().syscalls.inc();
     if (rc < 0) return -1;
-    for (int i = 0; i < rc; ++i) slots[i].len = msgs_[i].msg_len;
+    for (int i = 0; i < rc; ++i) slots[i].len = rx_msgs_[i].msg_len;
     return rc;
   }
 
   int send_batch(int fd, const TxDatagram* items, std::size_t n) override {
-    ensure(n);
+    if (tx_msgs_.size() < n) tx_msgs_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      std::memset(&msgs_[i], 0, sizeof(msgs_[i]));
-      msgs_[i].msg_hdr.msg_name = const_cast<sockaddr_in*>(&items[i].dst);
-      msgs_[i].msg_hdr.msg_namelen = sizeof(items[i].dst);
-      msgs_[i].msg_hdr.msg_iov = const_cast<iovec*>(items[i].iov);
-      msgs_[i].msg_hdr.msg_iovlen = items[i].iovlen;
+      msghdr& h = tx_msgs_[i].msg_hdr;
+      h.msg_name = const_cast<sockaddr_in*>(items[i].dst);
+      h.msg_namelen = items[i].dst != nullptr ? sizeof(*items[i].dst) : 0;
+      h.msg_iov = const_cast<iovec*>(items[i].iov);
+      h.msg_iovlen = items[i].iovlen;
     }
     int rc;
     do {
-      rc = ::sendmmsg(fd, msgs_.data(), static_cast<unsigned>(n), 0);
+      rc = ::sendmmsg(fd, tx_msgs_.data(), static_cast<unsigned>(n), 0);
     } while (rc < 0 && errno == EINTR);
     batch_counters().syscalls.inc();
     return rc;  // k accepted, or -1 with errno for the first datagram
   }
 
  private:
-  void ensure(std::size_t n) {
-    if (msgs_.size() < n) {
-      msgs_.resize(n);
-      iovs_.resize(n);
-    }
-  }
-  std::vector<mmsghdr> msgs_;
-  std::vector<iovec> iovs_;
+  std::vector<mmsghdr> rx_msgs_;
+  std::vector<iovec> rx_iovs_;
+  std::vector<mmsghdr> tx_msgs_;
 };
 
 #endif  // __linux__

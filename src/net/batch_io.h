@@ -54,7 +54,8 @@ struct RxSlot {
 
 /// One outgoing datagram: a borrowed gather list plus its destination.
 struct TxDatagram {
-  sockaddr_in dst{};
+  /// nullptr on a connected socket: the kernel sends to the connected peer.
+  const sockaddr_in* dst = nullptr;
   const iovec* iov = nullptr;
   std::size_t iovlen = 0;
   std::size_t bytes = 0;

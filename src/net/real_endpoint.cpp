@@ -8,6 +8,7 @@ class RealEndpoint::LoopEnv final : public Env {
 
   Vt now() const override { return ep_.loop_->dispatch_now(); }
   bool timing() const override { return ep_.loop_->timing(); }
+  Vt phase_now() const override { return ep_.loop_->now(); }
   void charge(VtDur) override {}  // real CPUs charge themselves
 
   void send_frame(std::vector<std::uint8_t> frame) override {

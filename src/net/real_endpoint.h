@@ -4,8 +4,9 @@
 // Under real time there is no cost model to charge (the CPU cost is the
 // actual CPU cost) and no simulated GC (C++ has none — which is itself an
 // interesting datum next to the paper's O'Caml pauses): charge() and the GC
-// hooks are no-ops. now() is the loop's dispatch clock and timing() its
-// 1-in-16 dispatch sample (RealLoop::dispatch_now(), RealLoop::timing()).
+// hooks are no-ops. now() is the loop's dispatch clock, timing() its
+// 1-in-16 dispatch sample (RealLoop::dispatch_now(), RealLoop::timing())
+// and phase_now() a fresh read for the phase timers (RealLoop::now()).
 //
 // defer() queues on the loop, which runs deferred work after each receive
 // batch's handlers (and after each timer callback and idle hook) — and
@@ -29,11 +30,13 @@ class RealEndpoint {
  public:
   using DeliverFn = std::function<void(std::span<const std::uint8_t>)>;
 
-  /// Opens a UDP socket on the loop. Call peer() + connect_to() on both
-  /// sides, then make_pa()/make_classic().
+  /// Opens a UDP socket on the loop. Call connect_to() on both sides, each
+  /// with the other's local_port(), then make_pa()/make_classic().
   RealEndpoint(RealLoop& loop, std::uint16_t port = 0);
 
   std::uint16_t local_port() const { return loop_->port(sock_); }
+  /// Point this endpoint's socket at 127.0.0.1:peer_port
+  /// (RealLoop::set_peer: the socket is connected to the peer).
   void connect_to(std::uint16_t peer_port);
 
   /// Instantiate the engine. `cfg.stack.bottom` addressing is filled from

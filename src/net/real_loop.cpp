@@ -107,6 +107,7 @@ int RealLoop::open_udp(std::uint16_t port) {
   Socket s;
   s.fd = fd;
   s.bound_port = ntohs(addr.sin_port);
+  s.peer = loopback_dst(0);
   socks_.push_back(std::move(s));
   return static_cast<int>(socks_.size() - 1);
 }
@@ -116,7 +117,13 @@ std::uint16_t RealLoop::port(int sock) const {
 }
 
 void RealLoop::set_peer(int sock, std::uint16_t peer_port) {
-  socks_.at(sock).peer_port = peer_port;
+  Socket& s = socks_.at(sock);
+  s.peer = loopback_dst(peer_port);
+  // Connected, the socket sends without naming the peer (the kernel keeps
+  // the route cached) and the kernel drops datagrams from any other source.
+  // Should connect(2) fail, every send names the peer instead.
+  s.connected = ::connect(s.fd, reinterpret_cast<const sockaddr*>(&s.peer),
+                          sizeof s.peer) == 0;
 }
 
 void RealLoop::set_fault(int sock, const resil::FaultConfig& cfg,
@@ -178,10 +185,11 @@ void RealLoop::demote_backend() {
 
 void RealLoop::raw_send(const Socket& s, const std::uint8_t* data,
                         std::size_t len) {
-  sockaddr_in peer = loopback_dst(s.peer_port);
+  const sockaddr_in* dst = s.dst();
   for (;;) {
     ssize_t n = ::sendto(s.fd, data, len, 0,
-                         reinterpret_cast<const sockaddr*>(&peer), sizeof peer);
+                         reinterpret_cast<const sockaddr*>(dst),
+                         dst != nullptr ? sizeof *dst : 0);
     net::batch_counters().syscalls.inc();
     if (n >= 0) {
       loop_counters().tx.inc();
@@ -234,8 +242,11 @@ void RealLoop::faulted_send(int sock, std::vector<std::uint8_t> bytes) {
 void RealLoop::send(int sock, const std::uint8_t* data, std::size_t len) {
   Socket& s = socks_.at(sock);
   if (batch_cfg_.enabled && on_dispatch_thread()) {
-    s.train.push_back(
-        WireFrame::adopt(std::vector<std::uint8_t>(data, data + len)));
+    ChunkRef c = ChunkRef::make_uninit(len);
+    if (len > 0) std::memcpy(c->bytes(), data, len);
+    WireFrame f;
+    f.append(Slice{std::move(c), 0, len});
+    s.train.push_back(std::move(f));
     if (s.train.size() >= batch_cfg_.send_train) flush_full_train(s, sock);
     return;
   }
@@ -247,8 +258,6 @@ void RealLoop::send(int sock, const std::uint8_t* data, std::size_t len) {
 }
 
 void RealLoop::immediate_sendv(const Socket& s, const WireFrame& frame) {
-  sockaddr_in peer = loopback_dst(s.peer_port);
-
   // Gather the slice list straight into the kernel. iovec wants a mutable
   // void*; sendmsg(2) only reads, so the const_cast is safe.
   std::vector<iovec> iov;
@@ -256,11 +265,12 @@ void RealLoop::immediate_sendv(const Socket& s, const WireFrame& frame) {
   for (const Slice& sl : frame.slices()) {
     if (sl.len == 0) continue;
     iov.push_back(iovec{
-        const_cast<std::uint8_t*>(sl.chunk->data.data() + sl.off), sl.len});
+        const_cast<std::uint8_t*>(sl.chunk->bytes() + sl.off), sl.len});
   }
   msghdr msg{};
-  msg.msg_name = &peer;
-  msg.msg_namelen = sizeof peer;
+  const sockaddr_in* dst = s.dst();
+  msg.msg_name = const_cast<sockaddr_in*>(dst);
+  msg.msg_namelen = dst != nullptr ? sizeof *dst : 0;
   msg.msg_iov = iov.data();
   msg.msg_iovlen = iov.size();
   for (;;) {
@@ -354,7 +364,7 @@ bool RealLoop::flush_train(Socket& s, int sock) {
 
   // Build the gather lists. iovec storage must stay stable across the
   // send_batch call, so slices are flattened into one arena first.
-  const sockaddr_in dst = loopback_dst(s.peer_port);
+  const sockaddr_in* dst = s.dst();
   std::vector<iovec>& iovs = tx_iovs_;
   iovs.clear();
   std::size_t total_slices = 0;
@@ -367,7 +377,7 @@ bool RealLoop::flush_train(Socket& s, int sock) {
     for (const Slice& sl : f.slices()) {
       if (sl.len == 0) continue;
       iovs.push_back(iovec{
-          const_cast<std::uint8_t*>(sl.chunk->data.data() + sl.off), sl.len});
+          const_cast<std::uint8_t*>(sl.chunk->bytes() + sl.off), sl.len});
     }
     net::TxDatagram d;
     d.dst = dst;
@@ -530,16 +540,17 @@ void RealLoop::prepare_rx_slots(std::size_t n) {
     // loop.
     if (i >= rx_handed_ && i < rx_ready_) continue;
     ChunkRef& c = rx_cache_[i];
-    if (c && c->unique() && c->data.size() >= batch_cfg_.recv_buf_bytes) {
+    if (c && c->unique() && c->size() >= batch_cfg_.recv_buf_bytes) {
       bc.rx_buf_recycled.inc();
     } else {
       // The previous tenant (an in-flight frame, the PA recv queue, a
       // reassembly buffer) still references this chunk — or the slot is
-      // new. Leave the old chunk to its holders and allocate fresh.
-      c = ChunkRef::make(batch_cfg_.recv_buf_bytes);
+      // new. Leave the old chunk to its holders and allocate fresh; the
+      // kernel writes every byte a handler will see, so no zero fill.
+      c = ChunkRef::make_uninit(batch_cfg_.recv_buf_bytes);
       bc.rx_buf_fresh.inc();
     }
-    rx_slots_[i] = net::RxSlot{c->data.data(), batch_cfg_.recv_buf_bytes, 0};
+    rx_slots_[i] = net::RxSlot{c->bytes(), batch_cfg_.recv_buf_bytes, 0};
   }
   // Slots [0, n) are valid now; those past n only if none of them was
   // handed out.
@@ -614,7 +625,7 @@ std::size_t RealLoop::drain_socket(std::size_t i,
           }
           if (v.corrupt && len > 0) {
             const std::uint64_t bit = v.corrupt_bit % (len * 8);
-            rx_cache_[j]->data[bit / 8] ^=
+            rx_cache_[j]->bytes()[bit / 8] ^=
                 static_cast<std::uint8_t>(1u << (bit % 8));
             loop_counters().faults_injected.inc();
           }
@@ -622,8 +633,8 @@ std::size_t RealLoop::drain_socket(std::size_t i,
             // Hold a private flat copy and re-inject it through the timer
             // heap: it reaches the handler late, reordered against every
             // arrival in between.
-            std::vector<std::uint8_t> bytes(
-                rx_cache_[j]->data.data(), rx_cache_[j]->data.data() + len);
+            const std::uint8_t* rx = rx_cache_[j]->bytes();
+            std::vector<std::uint8_t> bytes(rx, rx + len);
             const int si = static_cast<int>(i);
             set_timer(v.delay, [this, si, bytes = std::move(bytes)]() mutable {
               Socket& ds = socks_[static_cast<std::size_t>(si)];
@@ -643,8 +654,8 @@ std::size_t RealLoop::drain_socket(std::size_t i,
         for (std::uint32_t c = 1; c < copies; ++c) {
           // The duplicate gets a private copy: handlers may write headers
           // in place (same rule as the sim network's dup path).
-          std::vector<std::uint8_t> bytes(
-              rx_cache_[j]->data.data(), rx_cache_[j]->data.data() + len);
+          const std::uint8_t* rx = rx_cache_[j]->bytes();
+          std::vector<std::uint8_t> bytes(rx, rx + len);
           s.handler(WireFrame::adopt(std::move(bytes)), at);
         }
       }

@@ -41,7 +41,8 @@
 // handler's `at`, the engines' Env::now()) uses that reading. Timers are
 // armed from a fresh read, so one armed from a stale loop clock fires late
 // by at most a dispatch, never early. The engines' phase timing runs on one
-// dispatch in kTimingEvery, which reads the clock fresh (timing()).
+// dispatch in kTimingEvery (timing()), and only the phase timers read the
+// clock fresh (Env::phase_now()).
 //
 // Error handling (overload must degrade, never abort): EINTR is retried,
 // EAGAIN/ENOBUFS on an immediate send counts as backpressure (the datagram
@@ -60,6 +61,8 @@
 // sendmmsg. Delayed datagrams are held in a deadline queue and flushed by
 // the dispatch loop.
 #pragma once
+
+#include <netinet/in.h>
 
 #include <atomic>
 #include <cstdint>
@@ -99,7 +102,13 @@ class RealLoop {
   /// The port a socket was actually bound to.
   std::uint16_t port(int sock) const;
 
-  /// Point a socket's sends at 127.0.0.1:peer_port.
+  /// Point a socket's sends at 127.0.0.1:peer_port and connect(2) it there:
+  /// sends name no address (the kernel keeps the route cached), the kernel
+  /// drops datagrams from any other source before the frame handler, and a
+  /// dead peer's ICMP port-unreachable surfaces as ECONNREFUSED (counted,
+  /// never fatal). Calling it again re-points both directions to the new
+  /// peer. A socket never given a peer stays unconnected. Loop-thread
+  /// only, before traffic starts on the socket.
   void set_peer(int sock, std::uint16_t peer_port);
 
   /// Arm (or reconfigure) the fault injector on a socket's send side. The
@@ -158,14 +167,13 @@ class RealLoop {
   /// thread this is the loop clock: one reading the loop takes at its own
   /// boundaries (after poll(2) returns, after each recvmmsg/sendmmsg batch,
   /// after a timer callback or a deferred drain) and that everything inside
-  /// a dispatch shares — libuv's uv_now rule. In a timed dispatch (see
-  /// timing()) and on every other thread it is a fresh read.
-  Vt dispatch_now() const {
-    return on_dispatch_thread() && !timing_ ? clock_ : now();
-  }
+  /// a dispatch shares — libuv's uv_now rule. On every other thread it is a
+  /// fresh read.
+  Vt dispatch_now() const { return on_dispatch_thread() ? clock_ : now(); }
 
   /// Whether the current dispatch records phase timing. One dispatch in
   /// kTimingEvery is timed; off the dispatch thread, timing is always on.
+  /// The phase timers read now() fresh (Env::phase_now()).
   bool timing() const { return !on_dispatch_thread() || timing_; }
   static constexpr std::uint32_t kTimingEvery = 16;
 
@@ -200,7 +208,10 @@ class RealLoop {
   struct Socket {
     int fd = -1;
     std::uint16_t bound_port = 0;
-    std::uint16_t peer_port = 0;
+    sockaddr_in peer{};      // 127.0.0.1:peer port (port 0 until set_peer)
+    bool connected = false;  // connect(2)ed to `peer` by set_peer
+    /// The address a send names: none on a connected socket.
+    const sockaddr_in* dst() const { return connected ? nullptr : &peer; }
     FrameHandler handler;
     std::unique_ptr<resil::FaultSocket> fault;
     /// Datagrams parked for the next sendmmsg flush (dispatch-thread only).

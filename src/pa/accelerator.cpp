@@ -18,7 +18,9 @@ namespace {
 // wall ns under the real-time loop. They are recorded, with their spans and
 // the kFilterRecv span, only in dispatches the Env times (Env::timing()):
 // every one under the simulator, one in RealLoop::kTimingEvery on the real
-// loop, whose engine clock is otherwise the loop clock and free to read.
+// loop. Timed phases read Env::phase_now() (fresh wall clock on the real
+// loop); everything else, and an untimed phase's span start, reads the
+// engine clock, which is the loop clock there and free to read.
 struct PhaseHists {
   obs::LatencyHistogram& send_fast;
   obs::LatencyHistogram& send_slow;
@@ -54,11 +56,16 @@ std::uint32_t clamp_dur(std::int64_t d) {
   return static_cast<std::uint32_t>(d);
 }
 
+// The start of a phase: a fresh read when the dispatch is timed.
+Vt phase_start(const Env& env, bool timed) {
+  return timed ? env.phase_now() : env.now();
+}
+
 // Close a timed phase that started at t0: one histogram sample, one span.
 void record_phase(const Env& env, obs::LatencyHistogram& hist,
                   obs::SpanKind kind, Vt t0, std::uint32_t arg,
                   std::uint16_t owner) {
-  const Vt t1 = env.now();
+  const Vt t1 = env.phase_now();
   hist.record(static_cast<std::uint64_t>(t1 - t0));
   obs::span(kind, t0, clamp_dur(t1 - t0), arg, owner);
 }
@@ -435,7 +442,8 @@ void PaEngine::enqueue_or_send(Message m) {
 
 void PaEngine::start_send(Message m, std::uint64_t pk_count,
                           std::uint64_t pk_each, bool pk_var) {
-  const Vt t0 = env_.now();
+  const bool timed = env_.timing();
+  const Vt t0 = phase_start(env_, timed);
   send_busy_ = true;
   std::uint8_t* h = m.push(fixed_hdr_);
   std::memset(h, 0, fixed_hdr_);
@@ -446,7 +454,6 @@ void PaEngine::start_send(Message m, std::uint64_t pk_count,
 
   const bool try_fast = !m.cb.is_frag && !m.cb.protocol &&
                         disable_send_ == 0 && !cfg_.disable_prediction;
-  const bool timed = env_.timing();
   bool encoded = false;  // frame codecs (AEAD) applied exactly once per frame
   if (try_fast) {
     // Predicted protocol-specific + gossip headers (paper §3.2), then the
@@ -653,7 +660,7 @@ void PaEngine::run_posts() {
   post_scheduled_ = false;
 
   const bool timed = env_.timing();
-  const Vt ts0 = env_.now();
+  const Vt ts0 = phase_start(env_, timed);
   const bool had_sends = !pending_post_send_.empty();
   const std::uint32_t n_sends =
       static_cast<std::uint32_t>(pending_post_send_.size());
@@ -679,7 +686,7 @@ void PaEngine::run_posts() {
     }
   }
 
-  const Vt td0 = env_.now();
+  const Vt td0 = phase_start(env_, timed);
   const bool had_delivers = !pending_post_deliver_.empty();
   const std::uint32_t n_delivers =
       static_cast<std::uint32_t>(pending_post_deliver_.size());
@@ -836,7 +843,7 @@ void PaEngine::accept_frame(WireFrame frame) {
 
 void PaEngine::process_frame(WireFrame frame) {
   const bool timed = env_.timing();
-  const Vt t0 = env_.now();
+  const Vt t0 = phase_start(env_, timed);
   // Peek the preamble before adopting the frame: its bytes live in the
   // frame's chunks, which the message below keeps alive. The frame is
   // adopted without copying — the receive path's one flat-buffer copy is
@@ -1175,7 +1182,8 @@ void PaEngine::resend_raw(const Message& stored,
 
 void PaEngine::timer_fire(std::size_t layer,
                           const std::function<void(LayerOps&)>& cb) {
-  const Vt t0 = env_.now();
+  const bool timed = env_.timing();
+  const Vt t0 = phase_start(env_, timed);
   env_.charge(cfg_.costs.timer_cost);
   Ops ops(this, layer);
   cb(ops);
@@ -1185,8 +1193,8 @@ void PaEngine::timer_fire(std::size_t layer,
   rebuild_send_prediction();
   rebuild_deliver_prediction();
   flush_backlog();
-  if (env_.timing()) {
-    obs::span(obs::SpanKind::kTimerFire, t0, clamp_dur(env_.now() - t0),
+  if (timed) {
+    obs::span(obs::SpanKind::kTimerFire, t0, clamp_dur(env_.phase_now() - t0),
               static_cast<std::uint32_t>(layer), obs_id_);
   }
 }

@@ -115,19 +115,21 @@ void expect_within(const char* what, double per_rt, double budget) {
 }
 
 // 8-byte echo on the perfbench rpc-pa stack (x86-64, GCC/libstdc++,
-// RelWithDebInfo): 23.27 allocations per round trip (23.29 under
-// ASan+UBSan), down from 37.28 before the real-clock path dropped its
-// per-call scratch and 25.3 before Message::to_wire sized its slice list
-// once per frame.
-constexpr double kRpcBudget = 23.3;
+// RelWithDebInfo): 17.28 allocations per round trip (17.30 under
+// ASan+UBSan), down from 23.27 while every Chunk was two allocations (the
+// refcounted block and its std::vector), from 37.28 before the real-clock
+// path dropped its per-call scratch and from 25.3 before Message::to_wire
+// sized its slice list once per frame.
+constexpr double kRpcBudget = 17.3;
 
 // 1 KiB of word text echoed over the perfbench rpc-secure stack (comp on
 // top, crypt below the window), so every round trip compresses, seals,
-// opens and inflates twice. Measured as above: 43.28 (43.34 under
-// ASan+UBSan), down from 69.30 while the compressor allocated its match
-// table and grew its output one byte at a time, and from 45.3 before the
-// to_wire change above.
-constexpr double kSecureBudget = 43.3;
+// opens and inflates twice. Measured as above: 35.29 (35.34 under
+// ASan+UBSan), down from 43.28 with two-allocation chunks (the codec
+// outputs adopted through ChunkRef::adopt_vector still are), from 69.30
+// while the compressor allocated its match table and grew its output one
+// byte at a time, and from 45.3 before the to_wire change above.
+constexpr double kSecureBudget = 35.3;
 
 TEST(AllocBudget, PaRpcSteadyState) {
   if (!sockets_available()) GTEST_SKIP() << "no UDP sockets in this sandbox";

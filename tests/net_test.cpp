@@ -3,8 +3,10 @@
 // sandbox forbids socket creation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include "horus/world.h"
@@ -40,6 +42,11 @@ struct Pair {
     b.make_pa(cb, Address{{5, 6, 7, 8}}, Address{{1, 2, 3, 4}});
   }
 };
+
+// Datagrams received by every real loop in the process.
+std::uint64_t loop_rx() {
+  return obs::registry().counter("net_loop_datagrams_rx_total", "").value();
+}
 
 TEST(RealLoop, TimersFireInOrder) {
   RealLoop loop;
@@ -558,14 +565,11 @@ TEST(RealUdp, GarbageDatagramsAreDropped) {
   int delivered = 0;
   p.b.on_deliver([&](std::span<const std::uint8_t>) { ++delivered; });
 
-  // Blast raw garbage at B's port from a third socket.
-  RealLoop attacker_loop;
-  int s = attacker_loop.open_udp(0);
-  ASSERT_GE(s, 0);
-  attacker_loop.set_peer(s, p.b.local_port());
+  // Blast raw garbage at B from A's own socket: B's socket is connected to
+  // A, so only A's datagrams reach B's router at all.
   std::vector<std::uint8_t> junk(64, 0xee);
   for (int i = 0; i < 20; ++i) {
-    attacker_loop.send(s, junk.data(), junk.size());
+    p.loop.send(p.a.sock(), junk.data(), junk.size());
   }
   // A legitimate message must still get through.
   std::vector<std::uint8_t> msg{9, 9, 9};
@@ -576,6 +580,135 @@ TEST(RealUdp, GarbageDatagramsAreDropped) {
                 p.b.router().stats().dropped_no_match +
                 p.b.router().stats().dropped_malformed,
             0u);
+}
+
+// Sum of the router's drop counters.
+std::uint64_t router_drops(RealEndpoint& ep) {
+  const auto& st = ep.router().stats();
+  return st.dropped_unknown_cookie + st.dropped_no_match +
+         st.dropped_malformed;
+}
+
+TEST(RealUdp, ConnectedSocketDropsThirdPartyDatagrams) {
+  REQUIRE_SOCKETS();
+  Pair p;
+  int delivered = 0;
+  p.b.on_deliver([&](std::span<const std::uint8_t>) { ++delivered; });
+
+  // Junk from a socket B is not connected to: the kernel drops it before
+  // it reaches B's receive queue.
+  RealLoop attacker_loop;
+  int s = attacker_loop.open_udp(0);
+  ASSERT_GE(s, 0);
+  attacker_loop.set_peer(s, p.b.local_port());
+  std::vector<std::uint8_t> junk(64, 0xee);
+  for (int i = 0; i < 20; ++i) {
+    attacker_loop.send(s, junk.data(), junk.size());
+  }
+  const std::uint64_t drops0 = router_drops(p.b);
+  const std::uint64_t rx0 = loop_rx();
+
+  // The legitimate flow is unaffected, and the only datagrams the loop
+  // received are the flow's own.
+  std::vector<std::uint8_t> msg{9, 9, 9};
+  p.a.send(msg);
+  ASSERT_TRUE(p.loop.run_until([&] { return delivered >= 1; }, vt_s(5)));
+  // Let any straggler junk surface before checking.
+  p.loop.run_until([] { return false; }, vt_ms(20));
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(router_drops(p.b), drops0);
+  // The message (and at most the ack it provokes) is all that arrived.
+  const std::uint64_t rx = loop_rx() - rx0;
+  EXPECT_GE(rx, 1u);
+  EXPECT_LT(rx, 20u);
+}
+
+TEST(RealUdp, SetPeerReconnects) {
+  REQUIRE_SOCKETS();
+  RealLoop loop;
+  const int a = loop.open_udp(0);
+  const int b = loop.open_udp(0);
+  const int c = loop.open_udp(0);
+  ASSERT_GE(a, 0);
+  ASSERT_GE(b, 0);
+  ASSERT_GE(c, 0);
+  std::vector<std::pair<int, std::uint8_t>> got;  // (receiver, first byte)
+  for (int s : {a, b, c}) {
+    loop.on_frame(s, [&got, s](WireFrame f, Vt) {
+      got.emplace_back(s, f.flatten().at(0));
+    });
+  }
+  auto send_byte = [&](int from, std::uint8_t v) { loop.send(from, &v, 1); };
+  auto settle = [&](std::size_t n) {
+    loop.run_until([&] { return got.size() >= n; }, vt_ms(200));
+    loop.run_until([] { return false; }, vt_ms(10));  // stragglers
+  };
+
+  loop.set_peer(a, loop.port(b));
+  loop.set_peer(b, loop.port(a));
+  send_byte(a, 1);
+  send_byte(b, 2);
+  settle(2);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<std::pair<int, std::uint8_t>>{{a, 2}, {b, 1}}));
+
+  // Re-point A (and C) at each other: A's sends now reach C, C's reach A,
+  // and B — still aimed at A — is no longer A's peer, so its datagrams are
+  // dropped by the kernel.
+  got.clear();
+  loop.set_peer(a, loop.port(c));
+  loop.set_peer(c, loop.port(a));
+  send_byte(a, 3);
+  send_byte(c, 4);
+  send_byte(b, 5);
+  settle(2);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<std::pair<int, std::uint8_t>>{{a, 4}, {c, 3}}));
+}
+
+TEST(RealUdp, DeadPeerIsCountedNotFatal) {
+  REQUIRE_SOCKETS();
+  RealLoop loop;
+  const int a = loop.open_udp(0);
+  ASSERT_GE(a, 0);
+  {
+    // The peer opens, is connected to, and closes: its port now answers
+    // with ICMP port-unreachable, which the connected socket reports as
+    // ECONNREFUSED on its next send or receive.
+    RealLoop peer_loop;
+    const int b = peer_loop.open_udp(0);
+    ASSERT_GE(b, 0);
+    loop.set_peer(a, peer_loop.port(b));
+  }
+  obs::Counter& tx_refused =
+      obs::registry().counter("net_loop_tx_refused_total", "");
+  obs::Counter& rx_refused =
+      obs::registry().counter("net_loop_rx_refused_total", "");
+  const std::uint64_t tx0 = tx_refused.value();
+  const std::uint64_t rx0 = rx_refused.value();
+
+  std::vector<std::uint8_t> d(16, 1);
+  // Immediate paths (outside run_until): the raw send and the gather send.
+  for (int i = 0; i < 4; ++i) {
+    loop.send(a, d.data(), d.size());
+    loop.sendv(a, WireFrame::copy_of(d));
+  }
+  // Trained path: every millisecond a timer parks three datagrams, which
+  // the round's sendmmsg flush sends; poll(2) reports the pending error
+  // as POLLERR and the drain consumes it.
+  int rounds = 0;
+  std::function<void()> tick = [&] {
+    for (int i = 0; i < 3; ++i) loop.send(a, d.data(), d.size());
+    if (++rounds < 20) loop.set_timer(vt_ms(1), tick);
+  };
+  loop.set_timer(vt_ms(1), tick);
+  bool ok = false;
+  EXPECT_NO_THROW(
+      ok = loop.run_until([&] { return rounds >= 20; }, vt_s(5)));
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(rounds, 20);
+  EXPECT_GT(tx_refused.value(), tx0);
+  EXPECT_GT(rx_refused.value(), rx0);
 }
 
 // ---------------------------------------------------------------------------
